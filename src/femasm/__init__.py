@@ -46,7 +46,7 @@ from .mesh import (
 from .sparse import (
     CscBuilder,
     CscMatrix,
-    TripletBatch,
+    Pattern,
     csc_from_triplets,
     max_abs_diff,
     write_matrix_market,
@@ -63,8 +63,8 @@ __all__ = [
     "MatrixKind",
     "Mesh",
     "MeshFormatError",
+    "Pattern",
     "Strategy",
-    "TripletBatch",
     "WeightField",
     "assemble",
     "batch_gradients",

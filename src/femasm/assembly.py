@@ -9,8 +9,17 @@ Strategies, slowest to fastest:
   triangle are handed over as one dense block per element.
 * ``OPTV1``     - per-triangle element matrix written into preallocated
   triplet arrays, one CSC construction at the end.
-* ``OPTV2``     - no per-element work at all: index and value arrays are
-  produced by whole-mesh batch kernels, then one CSC construction.
+* ``OPTV2``     - no per-element work at all: value arrays are produced by
+  whole-mesh batch kernels and summed into the mesh's sparsity pattern.
+
+OPTV2 splits the CSC construction in two.  The symbolic phase sorts the
+9 x nme index stream of ``build_ig_jg_p1`` once per mesh
+(``build_pattern_p1``, kept as ``Mesh.pattern`` and shared by the three
+scalar kinds); the elastic pattern is its 2x2 block expansion
+(``expand_pattern_p1_vector``), so no 36 x nme sort ever runs.  The
+numeric phase of each call is the ``batch_kg_*`` kernel plus
+``Pattern.assemble``, and its result equals ``csc_from_triplets`` on the
+same triplets bit for bit.
 
 All strategies produce the same matrix up to roundoff; the point of
 keeping the slow ones around is the benchmark CLI.
@@ -27,7 +36,7 @@ import numpy as np
 
 from .elements import ElasticParams, elem_mass, elem_mass_weighted, elem_stiff, elem_stiff_elastic
 from .mesh import AREA_EPS, DegenerateTriangleError, Mesh
-from .sparse import CscBuilder, CscMatrix, TripletBatch, csc_from_triplets
+from .sparse import CscBuilder, CscMatrix, Pattern, csc_from_triplets
 
 __all__ = [
     "AssemblyBudgetExceeded",
@@ -43,6 +52,8 @@ __all__ = [
     "batch_kg_stiff",
     "build_ig_jg_p1",
     "build_ig_jg_p1_vector",
+    "build_pattern_p1",
+    "expand_pattern_p1_vector",
 ]
 
 class MatrixKind(Enum):
@@ -118,6 +129,11 @@ class WeightField:
         )
         if tw.shape != (mesh.nq,):
             raise ValueError(f"weight field {self.name!r} did not broadcast to (nq,)")
+        bad = np.flatnonzero(~np.isfinite(tw))
+        if bad.size:
+            raise ValueError(
+                f"weight field {self.name!r} is not finite at vertex {bad[0]} ({tw[bad[0]]:g})"
+            )
         return tw
 
 
@@ -190,6 +206,49 @@ def build_ig_jg_p1_vector(connectivity: np.ndarray) -> tuple[np.ndarray, np.ndar
     ig = np.tile(dofs, (1, 6)).T
     jg = np.repeat(dofs, 6, axis=1).T
     return ig, jg
+
+
+def build_pattern_p1(mesh: Mesh) -> Pattern:
+    """Symbolic phase of OPTV2 for the scalar kinds: the pattern of the
+    index stream of ``build_ig_jg_p1`` read triangle by triangle (triplet
+    9*k + q is entry q of triangle k).  ``Mesh.pattern`` keeps it."""
+    ig, jg = build_ig_jg_p1(mesh.connectivity)
+    return Pattern.from_triplets(ig.ravel(order="F"), jg.ravel(order="F"), mesh.nq, mesh.nq)
+
+
+def expand_pattern_p1_vector(pattern: Pattern) -> Pattern:
+    """Symbolic phase of OPTV2 for the elastic kind: the pattern of the
+    index stream of ``build_ig_jg_p1_vector``, derived from the scalar
+    one without a sort.
+
+    Elastic column 2j+c holds rows 2i, 2i+1 for each row i of scalar
+    column j in turn, so it starts at 4*col_ptr[j] + 2*c*len_j, and the
+    scalar slot s of row i in column j becomes, for each displacement
+    pair (r, c), slot 2*s + 2*col_ptr[j] + 2*c*len_j + r at row 2i+r.
+    Triplet l = a + 6b of a triangle (a = 2*ra + r, b = 2*cb + c) takes
+    that slot of the triangle's scalar triplet q = ra + 3*cb.
+    """
+    n, nnz = pattern.n_rows, pattern.nnz
+    col_ptr = pattern.col_ptr
+    length = np.diff(col_ptr)
+    col = np.repeat(np.arange(n), length)
+    first = 2 * np.arange(nnz) + 2 * col_ptr[col]  # the slot of (r, c) = (0, 0)
+    step = 2 * length[col]  # from c = 0 to c = 1
+    vec_col_ptr = np.zeros(2 * n + 1, dtype=np.int64)
+    np.cumsum(np.repeat(2 * length, 2), out=vec_col_ptr[1:])
+
+    nme = pattern.slot.size // 9
+    scalar_slot = pattern.slot.reshape(nme, 3, 3)  # [k, cb, ra]
+    row_idx = np.empty(4 * nnz, dtype=np.int64)
+    slot = np.empty((nme, 3, 2, 3, 2), dtype=np.int64)  # [k, cb, c, ra, r]
+    for c in (0, 1):
+        base = first + c * step
+        row_idx[base] = 2 * pattern.row_idx
+        row_idx[base + 1] = 2 * pattern.row_idx + 1
+        base = base[scalar_slot]
+        slot[:, :, c, :, 0] = base
+        slot[:, :, c, :, 1] = base + 1
+    return Pattern(2 * n, 2 * n, vec_col_ptr, row_idx, slot.ravel())
 
 
 def batch_gradients(mesh: Mesh) -> GradientBatch:
@@ -399,21 +458,17 @@ def _assemble_triplet_loop(mesh, kind, weight, params, budget_s):
 
 def _assemble_batched(mesh, kind, weight, params):
     if kind.is_vector:
-        ig, jg = build_ig_jg_p1_vector(mesh.connectivity)
         kg = batch_kg_elastic(mesh, params)
-        r = 36
+        pattern = mesh.vector_pattern
     else:
-        ig, jg = build_ig_jg_p1(mesh.connectivity)
         if kind is MatrixKind.MASS:
             kg = batch_kg_mass(mesh.areas)
         elif kind is MatrixKind.WEIGHTED_MASS:
             kg = batch_kg_mass_weighted(mesh, weight)
         else:
             kg = batch_kg_stiff(mesh)
-        r = 9
-    n = kind.n_dof(mesh.nq)
-    batch = TripletBatch(r, ig, jg, kg)
-    return batch.to_csc(n, n)
+        pattern = mesh.pattern
+    return pattern.assemble(kg.ravel(order="F"))
 
 
 def assemble(

@@ -3,13 +3,19 @@ structured square meshes, writes a CSV, and fits log-log complexity
 slopes.
 
 Timing protocol per cell: one discarded warm-up run, then ``repetitions``
-timed runs, median reported.  Two practical guards keep superlinear
-strategies from hijacking the wall clock: a run that exceeds
-``long_run_s`` is not repeated (its single time is the median), and the
-element-loop strategies are aborted once they pass ``time_budget_s``.
-An aborted cell is recorded with status ``skipped`` and its elapsed time,
-which is a *lower bound* on the true cost; larger sizes of the same pair
-are skipped outright and inherit the budget as their lower bound.
+timed runs, median reported.  Every run, the warm-up included, assembles
+on its own copy of the mesh, made outside the timer, so no run reuses
+what an earlier one cached on the mesh: each ``optv2`` time covers the
+symbolic phase (the sparsity pattern) as well as the numeric one, as in
+the paper's OptV2.  Two practical guards keep superlinear strategies
+from hijacking the wall clock: a run that exceeds ``long_run_s`` is not
+repeated (its single time is the median), and the element-loop
+strategies are aborted once they pass ``time_budget_s``.  An aborted
+cell is recorded with status ``skipped``, its elapsed time, which is a
+*lower bound* on the true cost, the number of timed runs completed
+before it (0 when the warm-up was aborted) and how many triangles the
+aborted run got through; larger sizes of the same pair are skipped
+outright and inherit the budget as their lower bound.
 """
 
 from __future__ import annotations
@@ -60,6 +66,9 @@ class BenchRecord:
     repetitions: int
     status: str = STATUS_OK
     speedup: Optional[float] = None  # reference strategy time / this time
+    # how far the aborted run of a skipped cell got; None when none was aborted
+    elements_done: Optional[int] = None
+    elements_total: Optional[int] = None
 
     @property
     def ok(self) -> bool:
@@ -81,8 +90,9 @@ def default_metadata(time_budget_s: float, repetitions: int) -> dict:
         "threads": 1,  # all kernels are single-threaded
         "time_budget_s": time_budget_s,
         "repetitions": repetitions,
-        "timing": "warmup discarded, median of repetitions",
-        "skipped_rows": "wall_time_seconds is a lower bound",
+        "timing": "warmup discarded, median of repetitions, fresh mesh per run",
+        "skipped_rows": "wall_time_seconds is a lower bound, "
+        "elements_done of elements_total triangles assembled when aborted",
     }
 
 
@@ -101,16 +111,25 @@ def _time_cell(
     repetitions: int,
     time_budget_s: Optional[float],
     long_run_s: float,
-) -> tuple[float, int, str]:
-    """(median_seconds, repetitions_used, status) for one cell."""
+) -> BenchRecord:
+    """One cell, timed by the protocol in the module docstring."""
     kwargs = _bench_args(kind)
+    cell = _cell_fields(mesh, kind, strategy)
     times: list[float] = []
     for rep in range(repetitions + 1):  # rep 0 is the warm-up
+        fresh = Mesh(mesh.vertices, mesh.connectivity, mesh.areas)
         t0 = time.perf_counter()
         try:
-            assemble(mesh, kind, strategy, budget_s=time_budget_s, **kwargs)
+            assemble(fresh, kind, strategy, budget_s=time_budget_s, **kwargs)
         except AssemblyBudgetExceeded as exc:
-            return exc.elapsed, max(1, len(times)), STATUS_SKIPPED
+            return BenchRecord(
+                **cell,
+                wall_time_seconds=exc.elapsed,
+                repetitions=len(times),
+                status=STATUS_SKIPPED,
+                elements_done=exc.elements_done,
+                elements_total=exc.elements_total,
+            )
         elapsed = time.perf_counter() - t0
         if rep > 0:
             times.append(elapsed)
@@ -119,7 +138,17 @@ def _time_cell(
                 # too slow to warm up separately; count this run instead
                 times.append(elapsed)
             break
-    return median_time(times), len(times), STATUS_OK
+    return BenchRecord(**cell, wall_time_seconds=median_time(times), repetitions=len(times))
+
+
+def _cell_fields(mesh: Mesh, kind: MatrixKind, strategy: Strategy) -> dict:
+    return {
+        "kind": kind.value,
+        "strategy": strategy.value,
+        "nq": mesh.nq,
+        "nme": mesh.nme,
+        "n_df": kind.n_dof(mesh.nq),
+    }
 
 
 def run_bench(
@@ -158,22 +187,17 @@ def run_bench(
                     meshes[n] = generate_unit_square_mesh(n)
                 mesh = meshes[n]
                 if over_budget:
-                    seconds, reps_used, status = float(time_budget_s), 0, STATUS_SKIPPED
+                    rec = BenchRecord(
+                        **_cell_fields(mesh, kind, strategy),
+                        wall_time_seconds=float(time_budget_s),
+                        repetitions=0,
+                        status=STATUS_SKIPPED,
+                    )
                 else:
-                    seconds, reps_used, status = _time_cell(
+                    rec = _time_cell(
                         mesh, kind, strategy, repetitions, time_budget_s, long_run_s
                     )
-                    over_budget = status == STATUS_SKIPPED
-                rec = BenchRecord(
-                    kind=kind.value,
-                    strategy=strategy.value,
-                    nq=mesh.nq,
-                    nme=mesh.nme,
-                    n_df=kind.n_dof(mesh.nq),
-                    wall_time_seconds=seconds,
-                    repetitions=reps_used,
-                    status=status,
-                )
+                    over_budget = not rec.ok
                 records.append(rec)
                 if verbose:
                     print(
@@ -215,6 +239,8 @@ _CSV_FIELDS = [
     "speedup_vs_reference",
     "repetitions",
     "status",
+    "elements_done",
+    "elements_total",
 ]
 
 
@@ -238,6 +264,8 @@ def write_records_csv(records: Sequence[BenchRecord], path, metadata: dict) -> N
                 "" if r.speedup is None else f"{r.speedup:.2f}",
                 r.repetitions,
                 r.status,
+                "" if r.elements_done is None else r.elements_done,
+                "" if r.elements_total is None else r.elements_total,
             ]
         )
     with open(path, "w", encoding="ascii") as f:
@@ -263,9 +291,16 @@ def read_records_csv(path) -> list[BenchRecord]:
                 speedup=float(row["speedup_vs_reference"])
                 if row["speedup_vs_reference"]
                 else None,
+                # files written before these columns existed lack them
+                elements_done=_optional_int(row.get("elements_done")),
+                elements_total=_optional_int(row.get("elements_total")),
             )
         )
     return records
+
+
+def _optional_int(field: Optional[str]) -> Optional[int]:
+    return int(field) if field else None
 
 
 def fit_loglog_slope(records: Sequence[BenchRecord]) -> float:

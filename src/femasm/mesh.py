@@ -3,12 +3,15 @@
 A mesh is a set of vertices, a triangle connectivity table (0-based
 internally) and the precomputed triangle areas.  Meshes are immutable
 after construction; the backing arrays are marked read-only so they can
-be shared freely between threads.
+be shared freely between threads.  A mesh also keeps the sparsity
+patterns of its P1 matrices once they are first asked for.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .sparse import Pattern
 
 __all__ = [
     "AREA_EPS",
@@ -77,9 +80,13 @@ class Mesh:
     vertices : (nq, 2) float64, read-only
     connectivity : (nme, 3) int64, 0-based vertex indices, read-only
     areas : (nme,) float64, read-only
+    pattern, vector_pattern : Pattern
+        Sparsity patterns of the scalar and the elastic P1 matrices, built
+        on first use and kept for the life of the mesh.  Two threads that
+        ask at once may both build one; either result is the same.
     """
 
-    __slots__ = ("vertices", "connectivity", "areas")
+    __slots__ = ("vertices", "connectivity", "areas", "_pattern", "_vector_pattern")
 
     def __init__(self, vertices, connectivity, areas=None):
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
@@ -92,6 +99,10 @@ class Mesh:
             )
         if vertices.shape[0] < 1 or connectivity.shape[0] < 1:
             raise ValueError("mesh needs at least one vertex and one triangle")
+        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+        if bad.size:
+            x, y = vertices[bad[0]]
+            raise ValueError(f"vertex {bad[0]} has a non-finite coordinate ({x:g}, {y:g})")
         nq = vertices.shape[0]
         if connectivity.min() < 0 or connectivity.max() >= nq:
             raise ValueError("connectivity index out of range [0, nq)")
@@ -117,6 +128,8 @@ class Mesh:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "connectivity", connectivity)
         object.__setattr__(self, "areas", areas)
+        object.__setattr__(self, "_pattern", None)
+        object.__setattr__(self, "_vector_pattern", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mesh is immutable")
@@ -128,6 +141,24 @@ class Mesh:
     @property
     def nme(self) -> int:
         return self.connectivity.shape[0]
+
+    @property
+    def pattern(self) -> Pattern:
+        """Pattern of the triplet stream of ``assembly.build_ig_jg_p1``."""
+        if self._pattern is None:
+            from .assembly import build_pattern_p1  # assembly imports this module
+
+            object.__setattr__(self, "_pattern", build_pattern_p1(self))
+        return self._pattern
+
+    @property
+    def vector_pattern(self) -> Pattern:
+        """Pattern of the triplet stream of ``assembly.build_ig_jg_p1_vector``."""
+        if self._vector_pattern is None:
+            from .assembly import expand_pattern_p1_vector
+
+            object.__setattr__(self, "_vector_pattern", expand_pattern_p1_vector(self.pattern))
+        return self._vector_pattern
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mesh):

@@ -7,6 +7,13 @@ dropped).  The summation order is pinned so results are reproducible
 bit-for-bit: entries are stably sorted by (column, row) and each position
 is accumulated left-to-right in input order.
 
+``Pattern`` splits that construction in two for index streams that repeat:
+the symbolic half (sort, slot of every triplet, ``col_ptr``/``row_idx``)
+runs once, and the numeric half, ``Pattern.assemble``, sums each new value
+stream into the slots with one ``bincount`` and drops exact-zero sums.  It
+returns the same matrix as ``csc_from_triplets`` on the same triplets, bit
+for bit.
+
 ``CscBuilder`` is the deliberately naive path: it keeps a live CSC image
 with exact-fit storage, so every insertion of a *new* position rewrites
 the whole value and row-index arrays (prefix, new entry, shifted tail)
@@ -19,14 +26,15 @@ gaps, no batching).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from operator import index
 
 import numpy as np
 
 __all__ = [
     "CscBuilder",
     "CscMatrix",
-    "TripletBatch",
+    "Pattern",
     "csc_from_triplets",
     "max_abs_diff",
     "write_matrix_market",
@@ -189,6 +197,95 @@ def csc_from_triplets(rows, cols, vals, n_rows: int, n_cols: int) -> CscMatrix:
     return CscMatrix(n_rows, n_cols, col_ptr, out_rows, sums, validate=False)
 
 
+class Pattern:
+    """The symbolic half of ``csc_from_triplets`` for a fixed index stream.
+
+    ``col_ptr`` and ``row_idx`` hold every position the stream reaches
+    (the structural nonzeros, in canonical CSC order) and ``slot[p]`` is
+    the storage position of triplet p.  ``assemble`` is the numeric half:
+    it sums a value stream of the same layout into those slots.  All
+    arrays are int64 and read-only, so one pattern can serve any number
+    of value streams.
+    """
+
+    __slots__ = ("n_rows", "n_cols", "col_ptr", "row_idx", "slot")
+
+    def __init__(self, n_rows, n_cols, col_ptr, row_idx, slot):
+        object.__setattr__(self, "n_rows", int(n_rows))
+        object.__setattr__(self, "n_cols", int(n_cols))
+        for name, arr in (("col_ptr", col_ptr), ("row_idx", row_idx), ("slot", slot)):
+            arr = np.ascontiguousarray(arr, dtype=np.int64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Pattern is immutable")
+
+    @classmethod
+    def from_triplets(cls, rows, cols, n_rows: int, n_cols: int) -> "Pattern":
+        """Pattern of the index stream (rows, cols), found by the same
+        stable sort as ``csc_from_triplets``."""
+        rows = _as_index_array(rows)
+        cols = _as_index_array(cols)
+        if rows.size != cols.size:
+            raise ValueError(f"index arrays disagree in length: {rows.size}, {cols.size}")
+        if n_rows < 1 or n_cols < 1:
+            raise ValueError("matrix dimensions must be positive")
+        _check_indices(rows, n_rows, "row")
+        _check_indices(cols, n_cols, "column")
+
+        code = np.multiply(cols, n_rows, dtype=np.int64)
+        code += rows
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        head = np.ones(code.size, dtype=bool)
+        np.not_equal(code[1:], code[:-1], out=head[1:])
+        slot = np.empty(code.size, dtype=np.int64)
+        slot[order] = np.cumsum(head) - 1
+        code = code[head]
+        col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(code // n_rows, minlength=n_cols), out=col_ptr[1:])
+        return cls(n_rows, n_cols, col_ptr, code % n_rows, slot)
+
+    @property
+    def nnz(self) -> int:
+        """Number of structural nonzeros."""
+        return int(self.row_idx.size)
+
+    def assemble(self, vals) -> CscMatrix:
+        """The matrix ``csc_from_triplets`` builds from this pattern's
+        index stream and ``vals``, bit for bit.
+
+        ``bincount`` adds each slot's values in stream order, the order
+        the stable sort pins; input zeros leave every nonzero sum as it
+        is, and sums that are exactly zero are dropped.  When none is,
+        the pattern's own arrays become the result's structure.
+        """
+        vals = np.ascontiguousarray(vals, dtype=np.float64).ravel()
+        if vals.size != self.slot.size:
+            raise ValueError(f"expected {self.slot.size} values, got {vals.size}")
+        sums = np.bincount(self.slot, weights=vals, minlength=self.nnz)
+        keep = sums != 0.0
+        if keep.all():
+            return CscMatrix(
+                self.n_rows, self.n_cols, self.col_ptr, self.row_idx, sums, validate=False
+            )
+        kept_before = np.zeros(self.nnz + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        return CscMatrix(
+            self.n_rows,
+            self.n_cols,
+            kept_before[self.col_ptr],
+            self.row_idx[keep],
+            sums[keep],
+            validate=False,
+        )
+
+    def __repr__(self) -> str:
+        shape = (self.n_rows, self.n_cols)
+        return f"Pattern(shape={shape}, nnz={self.nnz}, triplets={self.slot.size})"
+
+
 def max_abs_diff(a: CscMatrix, b: CscMatrix) -> float:
     """max |a - b| over every position, treating absent entries as zero."""
     if a.shape != b.shape:
@@ -234,12 +331,17 @@ class CscBuilder:
 
     def add(self, i: int, j: int, v: float) -> None:
         """Add v to entry (i, j)."""
+        # plain ints and a list search keep the per-call overhead small, so
+        # that the storage rewrite, not numpy call dispatch, sets the cost
+        i, j = index(i), index(j)
         if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
             raise ValueError(f"index ({i}, {j}) out of range for ({self.n_rows}, {self.n_cols})")
         aa, ia, ja = self._aa, self._ia, self._ja
         lo, hi = ja[j], ja[j + 1]
-        pos = lo + np.searchsorted(ia[lo:hi], i)
-        if pos < hi and ia[pos] == i:
+        rows = ia[lo:hi].tolist()
+        k = bisect_left(rows, i)
+        pos = lo + k
+        if k < len(rows) and rows[k] == i:
             aa[pos] += v
         else:
             n = aa.size
@@ -289,44 +391,6 @@ class CscBuilder:
 
     def __repr__(self) -> str:
         return f"CscBuilder(shape=({self.n_rows}, {self.n_cols}), nnz={self.nnz})"
-
-
-@dataclass(frozen=True)
-class TripletBatch:
-    """Element-matrix values and their global positions, one column per
-    triangle: ``rows_per_elem`` is 9 for scalar kinds and 36 for the
-    vector-valued elastic kind."""
-
-    rows_per_elem: int
-    Ig: np.ndarray
-    Jg: np.ndarray
-    Kg: np.ndarray
-
-    def __post_init__(self):
-        if self.rows_per_elem not in (9, 36):
-            raise ValueError(f"rows_per_elem must be 9 or 36, got {self.rows_per_elem}")
-        shape = (self.rows_per_elem, self.Ig.shape[1] if self.Ig.ndim == 2 else -1)
-        for name in ("Ig", "Jg", "Kg"):
-            arr = getattr(self, name)
-            if arr.ndim != 2 or arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-
-    @property
-    def nme(self) -> int:
-        return self.Ig.shape[1]
-
-    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Column-major 1d views: element k occupies slots
-        [k*rows_per_elem, (k+1)*rows_per_elem)."""
-        return (
-            self.Ig.ravel(order="F"),
-            self.Jg.ravel(order="F"),
-            self.Kg.ravel(order="F"),
-        )
-
-    def to_csc(self, n_rows: int, n_cols: int) -> CscMatrix:
-        i, j, k = self.flat()
-        return csc_from_triplets(i, j, k, n_rows, n_cols)
 
 
 def write_matrix_market(matrix: CscMatrix, path) -> None:

@@ -17,11 +17,13 @@ from femasm import (
     build_ig_jg_p1,
     build_ig_jg_p1_vector,
     compute_areas,
+    csc_from_triplets,
     generate_disk_mesh,
     generate_unit_square_mesh,
     max_abs_diff,
 )
 
+import femasm.assembly
 import oracles
 from test_elements import ELASTIC_UNIT_TABLE
 
@@ -147,6 +149,15 @@ class TestValueBatches:
         m = assemble(mesh, MatrixKind.WEIGHTED_MASS, Strategy.OPTV2,
                      weight=WeightField("zero", lambda x, y: 0.0 * x))
         assert m.nnz == 0
+
+    def test_weighted_non_finite_weight_names_vertex(self):
+        mesh = generate_unit_square_mesh(2)
+        all_nan = WeightField("nan", lambda x, y: np.full_like(x, np.nan))
+        with pytest.raises(ValueError, match="not finite at vertex 0"):
+            assemble(mesh, MatrixKind.WEIGHTED_MASS, Strategy.OPTV2, weight=all_nan)
+        corner = WeightField("corner", lambda x, y: np.where(x + y == 2.0, np.inf, 1.0))
+        with pytest.raises(ValueError, match="not finite at vertex 8"):
+            batch_kg_mass_weighted(mesh, corner)
 
     def test_weighted_single_triangle_column(self):
         verts = np.array([[0.0, 0.0], [30.0, 0.0], [0.0, 2.0]])  # area 30
@@ -293,3 +304,103 @@ class TestAssemble:
             m = assemble(mesh, kind, Strategy.OPTV2, **kwargs)
             d = m.to_dense()
             assert np.abs(d - d.T).max() <= 1e-14 * np.abs(d).max()
+
+
+def kind_kwargs(kind: MatrixKind) -> dict:
+    if kind is MatrixKind.WEIGHTED_MASS:
+        return {"weight": WeightField.quadratic()}
+    if kind is MatrixKind.ELASTIC:
+        return {"params": ElasticParams(1.0, 2.5)}
+    return {}
+
+
+def triplet_reference(mesh: Mesh, kind: MatrixKind, **kwargs):
+    """csc_from_triplets on the index and value arrays optv2 starts from."""
+    if kind is MatrixKind.ELASTIC:
+        ig, jg = build_ig_jg_p1_vector(mesh.connectivity)
+        kg = batch_kg_elastic(mesh, kwargs["params"])
+    else:
+        ig, jg = build_ig_jg_p1(mesh.connectivity)
+        if kind is MatrixKind.MASS:
+            kg = batch_kg_mass(mesh.areas)
+        elif kind is MatrixKind.WEIGHTED_MASS:
+            kg = batch_kg_mass_weighted(mesh, kwargs["weight"])
+        else:
+            kg = batch_kg_stiff(mesh)
+    n = kind.n_dof(mesh.nq)
+    return csc_from_triplets(
+        ig.ravel(order="F"), jg.ravel(order="F"), kg.ravel(order="F"), n, n
+    )
+
+
+def shuffled_square_mesh(n: int, seed: int) -> Mesh:
+    """The n x n square with vertices and triangles renumbered at random."""
+    square = generate_unit_square_mesh(n)
+    rng = np.random.default_rng(seed)
+    vertex_perm = rng.permutation(square.nq)
+    new_index = np.empty_like(vertex_perm)
+    new_index[vertex_perm] = np.arange(square.nq)
+    conn = new_index[square.connectivity[rng.permutation(square.nme)]]
+    return Mesh(square.vertices[vertex_perm], conn)
+
+
+def assert_bit_identical(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.col_ptr, b.col_ptr)
+    assert np.array_equal(a.row_idx, b.row_idx)
+    assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
+
+
+class TestPattern:
+    @pytest.mark.parametrize("kind", list(MatrixKind))
+    @pytest.mark.parametrize(
+        "make_mesh", [lambda: shuffled_square_mesh(12, seed=7001), lambda: generate_disk_mesh(5)]
+    )
+    def test_optv2_is_triplet_reference_bit_for_bit(self, kind, make_mesh):
+        mesh = make_mesh()
+        kwargs = kind_kwargs(kind)
+        for _ in range(2):  # building the pattern, then reusing it
+            assert_bit_identical(
+                assemble(mesh, kind, Strategy.OPTV2, **kwargs),
+                triplet_reference(mesh, kind, **kwargs),
+            )
+
+    def test_stiff_drops_exact_cancellations(self):
+        # on the square, the diagonal edges' off-diagonal stiffness sums to 0.0
+        mesh = generate_unit_square_mesh(20)
+        s = assemble(mesh, MatrixKind.STIFFNESS, Strategy.OPTV2)
+        assert s.nnz < mesh.pattern.nnz
+        assert_bit_identical(s, triplet_reference(mesh, MatrixKind.STIFFNESS))
+        k = assemble(mesh, MatrixKind.ELASTIC, Strategy.OPTV2, params=PARAMS)
+        assert_bit_identical(k, triplet_reference(mesh, MatrixKind.ELASTIC, params=PARAMS))
+
+    def test_built_once_per_mesh_and_shared(self, monkeypatch):
+        built = []
+        for name in ("build_pattern_p1", "expand_pattern_p1_vector"):
+            original = getattr(femasm.assembly, name)
+
+            def counted(arg, name=name, original=original):
+                built.append(name)
+                return original(arg)
+
+            monkeypatch.setattr(femasm.assembly, name, counted)
+        mesh = shuffled_square_mesh(6, seed=3)
+        scalar = [k for k in MatrixKind if not k.is_vector]
+        mats = [assemble(mesh, k, Strategy.OPTV2, **kind_kwargs(k)) for k in scalar * 2]
+        assert built == ["build_pattern_p1"]
+        # mass and massw cancel nothing, so they store the pattern's own arrays
+        for m in mats[:2]:
+            assert m.col_ptr is mesh.pattern.col_ptr and m.row_idx is mesh.pattern.row_idx
+        for _ in range(2):
+            assemble(mesh, MatrixKind.ELASTIC, Strategy.OPTV2, params=PARAMS)
+        assert built == ["build_pattern_p1", "expand_pattern_p1_vector"]
+        assert mesh.vector_pattern.nnz == 4 * mesh.pattern.nnz
+
+    def test_equal_meshes_do_not_share(self):
+        a = generate_unit_square_mesh(3)
+        b = Mesh(a.vertices, a.connectivity, a.areas)
+        assert a == b
+        assert a.pattern is not b.pattern
+        assert a.vector_pattern is not b.vector_pattern
+        with pytest.raises(AttributeError):
+            a.pattern = b.pattern

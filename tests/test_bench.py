@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import femasm.assembly
 from femasm import MatrixKind, Strategy
 from femasm.bench import (
     BenchRecord,
@@ -134,6 +135,35 @@ class TestRunBench:
         assert [r.status for r in records] == [STATUS_SKIPPED, STATUS_SKIPPED]
         assert records[0].wall_time_seconds > 0
         assert records[1].repetitions == 0  # never attempted, lower bound only
+
+    def test_abort_in_warmup_keeps_progress(self, tmp_path):
+        records = run_bench(
+            [MatrixKind.MASS], [Strategy.CLASSICAL], [60], 3, None, time_budget_s=0.05
+        )
+        (rec,) = records
+        assert rec.status == STATUS_SKIPPED and rec.repetitions == 0
+        assert rec.elements_total == 7200 and 0 <= rec.elements_done < 7200
+        path = tmp_path / "abort.csv"
+        write_records_csv(records, path, default_metadata(0.05, 3))
+        (back,) = read_records_csv(path)
+        assert (back.repetitions, back.elements_done, back.elements_total) == (
+            0,
+            rec.elements_done,
+            7200,
+        )
+
+    def test_every_run_builds_the_pattern(self, monkeypatch):
+        built = []
+        original = femasm.assembly.build_pattern_p1
+
+        def counted(mesh):
+            built.append(mesh)
+            return original(mesh)
+
+        monkeypatch.setattr(femasm.assembly, "build_pattern_p1", counted)
+        run_bench([MatrixKind.MASS], [Strategy.OPTV2], [4], 3, None)
+        assert len(built) == 4  # warm-up and three timed runs, each on its own mesh
+        assert len({id(mesh) for mesh in built}) == 4
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError, match="ascending"):

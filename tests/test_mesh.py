@@ -103,6 +103,19 @@ class TestMeshValidation:
         with pytest.raises(ValueError, match="areas"):
             Mesh(verts, np.array([[0, 1, 2]]), areas=np.array([0.75]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_names_vertex(self, bad):
+        # a NaN area passes the degeneracy test, so this needs its own check
+        square = generate_unit_square_mesh(2)
+        verts = square.vertices.copy()
+        verts[0, 0] = bad
+        with pytest.raises(ValueError, match="vertex 0 has a non-finite coordinate"):
+            Mesh(verts, square.connectivity)
+        verts = square.vertices.copy()
+        verts[5, 1] = bad
+        with pytest.raises(ValueError, match="vertex 5 has a non-finite"):
+            Mesh(verts, square.connectivity)
+
     def test_immutable(self):
         m = generate_unit_square_mesh(2)
         with pytest.raises(AttributeError):

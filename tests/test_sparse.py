@@ -4,7 +4,7 @@ import pytest
 from femasm import (
     CscBuilder,
     CscMatrix,
-    TripletBatch,
+    Pattern,
     csc_from_triplets,
     max_abs_diff,
     write_matrix_market,
@@ -199,22 +199,67 @@ class TestDenseAndDiff:
             a.to_dense()
 
 
-class TestTripletBatch:
-    def test_flat_is_column_major(self):
-        ig = np.arange(18).reshape(9, 2)
-        batch = TripletBatch(9, ig, ig, ig.astype(float))
-        flat = batch.flat()[0]
-        assert flat[:9].tolist() == ig[:, 0].tolist()
+class TestPattern:
+    def assert_same(self, a: CscMatrix, b: CscMatrix):
+        assert a.shape == b.shape
+        assert np.array_equal(a.col_ptr, b.col_ptr)
+        assert np.array_equal(a.row_idx, b.row_idx)
+        assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
 
-    def test_bad_rows_per_elem(self):
-        ig = np.zeros((8, 2), dtype=np.int64)
-        with pytest.raises(ValueError):
-            TripletBatch(8, ig, ig, ig.astype(float))
+    def test_worked_example(self):
+        p = Pattern.from_triplets(EX_I, EX_J, 3, 4)
+        assert p.col_ptr.tolist() == [0, 1, 3, 4, 6]
+        assert p.row_idx.tolist() == [0, 1, 2, 2, 0, 1]
+        assert p.slot.tolist() == [0, 1, 2, 3, 4, 5]
+        self.assert_same(p.assemble(EX_K), example_matrix())
 
-    def test_shape_mismatch(self):
-        ig = np.zeros((9, 2), dtype=np.int64)
+    def test_duplicates_share_a_slot_in_input_order(self):
+        p = Pattern.from_triplets([1, 0, 1], [0, 0, 0], 2, 1)
+        assert p.slot.tolist() == [1, 0, 1] and p.nnz == 2
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_matches_csc_from_triplets_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            m, n, length = int(rng.integers(1, 30)), int(rng.integers(1, 30)), 400
+            i = rng.integers(0, m, length).astype(dtype)
+            j = rng.integers(0, n, length).astype(dtype)
+            p = Pattern.from_triplets(i, j, m, n)
+            for _ in range(3):
+                k = rng.standard_normal(length)
+                k[rng.random(length) < 0.1] = 0.0
+                # exact cancellations: a few positions get their sum subtracted
+                dup = rng.integers(0, length, 5)
+                k[dup] = 0.0
+                for d in dup:
+                    k[d] = -k[(i == i[d]) & (j == j[d])].sum()
+                self.assert_same(p.assemble(k), csc_from_triplets(i, j, k, m, n))
+
+    def test_keeps_its_arrays_when_nothing_cancels(self):
+        p = Pattern.from_triplets(EX_I, EX_J, 3, 4)
+        a = p.assemble(EX_K)
+        assert a.col_ptr is p.col_ptr and a.row_idx is p.row_idx
+        b = p.assemble([1.0, 5.0, 0.0, 2.0, 6.0, 4.0])
+        assert b.nnz == 5 and b.col_ptr.tolist() == [0, 1, 2, 3, 5]
+
+    def test_immutable(self):
+        p = Pattern.from_triplets(EX_I, EX_J, 3, 4)
+        with pytest.raises(AttributeError):
+            p.n_rows = 5
         with pytest.raises(ValueError):
-            TripletBatch(9, ig, ig[:, :1], ig.astype(float))
+            p.slot[0] = 1
+
+    def test_empty_stream(self):
+        p = Pattern.from_triplets([], [], 2, 2)
+        assert p.nnz == 0 and p.assemble([]).nnz == 0
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="position 1"):
+            Pattern.from_triplets([0, 3], [0, 0], 3, 3)
+        with pytest.raises(ValueError, match="length"):
+            Pattern.from_triplets([0, 1], [0], 2, 2)
+        with pytest.raises(ValueError, match="expected 6 values"):
+            Pattern.from_triplets(EX_I, EX_J, 3, 4).assemble([1.0])
 
 
 class TestMatrixMarket:
