@@ -35,6 +35,7 @@ from .elements import (
 )
 from .mesh import (
     DegenerateTriangleError,
+    InvalidMeshError,
     Mesh,
     MeshFormatError,
     compute_areas,
@@ -60,6 +61,7 @@ __all__ = [
     "DegenerateTriangleError",
     "ElasticParams",
     "GradientBatch",
+    "InvalidMeshError",
     "MatrixKind",
     "Mesh",
     "MeshFormatError",

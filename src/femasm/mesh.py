@@ -9,13 +9,18 @@ patterns of its P1 matrices once they are first asked for.
 
 from __future__ import annotations
 
+import warnings
+from itertools import islice
+from typing import NoReturn
+
 import numpy as np
 
-from .sparse import Pattern
+from .sparse import Pattern, write_lines
 
 __all__ = [
     "AREA_EPS",
     "DegenerateTriangleError",
+    "InvalidMeshError",
     "Mesh",
     "MeshFormatError",
     "compute_areas",
@@ -29,17 +34,27 @@ __all__ = [
 # stiffness kernels would overflow long before the area underflows to zero.
 AREA_EPS = 1e-300
 
-# Enough significant digits for an exact float64 round trip through text.
-_FLOAT_FMT = "%.17g"
+
+class InvalidMeshError(ValueError):
+    """Mesh arrays that fail a check of ``Mesh``.  ``vertex`` or
+    ``triangle`` is the index of the first offender when the fault lies in
+    one; ``read_mesh`` turns it into that vertex's or triangle's line."""
+
+    def __init__(self, message: str, *, vertex=None, triangle=None):
+        self.vertex = None if vertex is None else int(vertex)
+        self.triangle = None if triangle is None else int(triangle)
+        super().__init__(message)
 
 
-class DegenerateTriangleError(ValueError):
+class DegenerateTriangleError(InvalidMeshError):
     """A triangle has (numerically) zero area."""
 
     def __init__(self, index: int, area: float):
         self.index = int(index)
         self.area = float(area)
-        super().__init__(f"triangle {self.index} is degenerate (area={self.area:g})")
+        super().__init__(
+            f"triangle {self.index} is degenerate (area={self.area:g})", triangle=self.index
+        )
 
 
 class MeshFormatError(ValueError):
@@ -102,16 +117,19 @@ class Mesh:
         bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
         if bad.size:
             x, y = vertices[bad[0]]
-            raise ValueError(f"vertex {bad[0]} has a non-finite coordinate ({x:g}, {y:g})")
+            raise InvalidMeshError(
+                f"vertex {bad[0]} has a non-finite coordinate ({x:g}, {y:g})", vertex=bad[0]
+            )
         nq = vertices.shape[0]
         if connectivity.min() < 0 or connectivity.max() >= nq:
             raise ValueError("connectivity index out of range [0, nq)")
-        if (
+        bad = np.flatnonzero(
             (connectivity[:, 0] == connectivity[:, 1])
             | (connectivity[:, 1] == connectivity[:, 2])
             | (connectivity[:, 0] == connectivity[:, 2])
-        ).any():
-            raise ValueError("triangle with repeated vertex indices")
+        )
+        if bad.size:
+            raise InvalidMeshError("triangle with repeated vertex indices", triangle=bad[0])
 
         exact = compute_areas(vertices, connectivity)
         if areas is None:
@@ -244,74 +262,128 @@ def generate_disk_mesh(n: int) -> Mesh:
 
 def write_mesh(mesh: Mesh, path) -> None:
     """Write the line-oriented text format: header ``nq nme``, then nq
-    ``x y`` lines, then nme ``i1 i2 i3`` lines with 1-based indices."""
+    ``x y`` lines, then nme ``i1 i2 i3`` lines with 1-based indices.
+    Floats are written as ``%.17g``, enough digits for an exact float64
+    round trip."""
+    vertices, connectivity = mesh.vertices, mesh.connectivity
     with open(path, "w", encoding="ascii") as f:
         f.write(f"{mesh.nq} {mesh.nme}\n")
-        for x, y in mesh.vertices:
-            f.write(f"{_FLOAT_FMT % x} {_FLOAT_FMT % y}\n")
-        for a, b, c in mesh.connectivity:
-            f.write(f"{a + 1} {b + 1} {c + 1}\n")
+        write_lines(f, "%.17g %.17g\n", mesh.nq, lambda start, stop: vertices[start:stop].T)
+        write_lines(
+            f, "%d %d %d\n", mesh.nme, lambda start, stop: (connectivity[start:stop] + 1).T
+        )
 
 
 def read_mesh(path) -> Mesh:
     """Read the text format written by write_mesh.
 
-    Raises MeshFormatError (with a line number) on any malformed content.
+    Fields are separated by spaces or tabs, and lines end in ``\\n`` or
+    ``\\r\\n``; there are no comment lines.  The vertex and triangle blocks
+    are parsed by numpy's C reader as the file streams past, whose grammar
+    is that of Python's ``float`` and ``int`` without digit separators.
+    Raises MeshFormatError with a line number on any malformed content,
+    and on a mesh that ``Mesh`` rejects, at the line of the offending
+    vertex or triangle.
     """
-    with open(path, "r", encoding="ascii") as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].strip():
-        raise MeshFormatError(path, 1, "empty file, expected 'nq nme' header")
+    # a non-ASCII byte becomes a lone surrogate, which no field parses, so
+    # it fails at its line like any other bad character
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
+        header = f.readline()
+        if not header.strip():
+            raise MeshFormatError(path, 1, "empty file, expected 'nq nme' header")
+        nq, nme = _parse_ints(path, header, 1, 2, "header")
+        if nq < 1 or nme < 1:
+            raise MeshFormatError(path, 1, f"counts must be positive, got nq={nq} nme={nme}")
+        vertices = _load_block(islice(f, nq), np.float64, (nq, 2))
+        connectivity = _load_block(islice(f, nme), np.int64, (nme, 3))
+        rest = f.read()
+    if (
+        vertices is None
+        or connectivity is None
+        or connectivity.min() < 1
+        or connectivity.max() > nq
+        or rest.strip()
+    ):
+        _raise_at_first_bad_line(path, nq, nme)
+    connectivity -= 1
 
-    def parse_ints(line_no: int, expected: int, what: str) -> list[int]:
-        parts = lines[line_no - 1].split()
-        if len(parts) != expected:
-            raise MeshFormatError(
-                path, line_no, f"expected {expected} fields for {what}, got {len(parts)}"
-            )
-        try:
-            return [int(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(path, line_no, f"invalid integer in {what}") from None
+    try:
+        return Mesh(vertices, connectivity)
+    except InvalidMeshError as exc:
+        if exc.vertex is not None:
+            line_no = 2 + exc.vertex
+        elif exc.triangle is not None:
+            line_no = 2 + nq + exc.triangle
+        else:
+            line_no = 1
+        raise MeshFormatError(path, line_no, f"invalid mesh: {exc}") from exc
 
-    nq, nme = parse_ints(1, 2, "header")
-    if nq < 1 or nme < 1:
-        raise MeshFormatError(path, 1, f"counts must be positive, got nq={nq} nme={nme}")
+
+def _load_block(lines, dtype, shape: tuple[int, int]):
+    """The lines parsed as an array of ``shape``, or None when numpy's
+    parser rejects them or finds another shape (it skips blank lines, so
+    they show as missing rows)."""
+    try:
+        with warnings.catch_warnings():
+            # These warnings mean a bad block, for the scan to locate: an
+            # all-blank one, and, in numpy releases that only deprecate it,
+            # an integer read through a float ("1.0").
+            warnings.filterwarnings("error", "loadtxt: input contained no data")
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            block = np.loadtxt(lines, dtype=dtype, ndmin=2, comments=None)
+    except (ValueError, Warning):
+        return None
+    return block if block.shape == shape else None
+
+
+def _field(convert, text: str):
+    """``convert(text)``, refusing the digit separators (``1_000``) that
+    Python accepts and numpy's parser does not."""
+    if "_" in text:
+        raise ValueError(text)
+    return convert(text)
+
+
+def _parse_ints(path, line: str, line_no: int, expected: int, what: str) -> list[int]:
+    parts = line.split()
+    if len(parts) != expected:
+        raise MeshFormatError(
+            path, line_no, f"expected {expected} fields for {what}, got {len(parts)}"
+        )
+    try:
+        return [_field(int, p) for p in parts]
+    except ValueError:
+        raise MeshFormatError(path, line_no, f"invalid integer in {what}") from None
+
+
+def _raise_at_first_bad_line(path, nq: int, nme: int) -> NoReturn:
+    """Re-read a file whose blocks failed to parse and raise MeshFormatError
+    at its first bad line.  Only raises: a mesh always comes from the
+    parsed arrays."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
+        lines = list(f)
     if len(lines) < 1 + nq + nme:
         raise MeshFormatError(
             path,
             len(lines) + 1,
             f"file ends early: header promises {1 + nq + nme} lines",
         )
-
-    vertices = np.empty((nq, 2), dtype=np.float64)
-    for k in range(nq):
-        line_no = 2 + k
+    for line_no in range(2, 2 + nq):
         parts = lines[line_no - 1].split()
         if len(parts) != 2:
             raise MeshFormatError(path, line_no, f"expected 2 coordinates, got {len(parts)}")
         try:
-            vertices[k, 0] = float(parts[0])
-            vertices[k, 1] = float(parts[1])
+            for p in parts:
+                _field(float, p)
         except ValueError:
             raise MeshFormatError(path, line_no, "invalid coordinate") from None
-
-    connectivity = np.empty((nme, 3), dtype=np.int64)
-    for k in range(nme):
-        line_no = 2 + nq + k
-        i1, i2, i3 = parse_ints(line_no, 3, "triangle")
-        for idx in (i1, i2, i3):
+    for line_no in range(2 + nq, 2 + nq + nme):
+        for idx in _parse_ints(path, lines[line_no - 1], line_no, 3, "triangle"):
             if idx < 1 or idx > nq:
                 raise MeshFormatError(
                     path, line_no, f"vertex index {idx} out of range 1..{nq}"
                 )
-        connectivity[k] = (i1 - 1, i2 - 1, i3 - 1)
-
-    for extra in range(1 + nq + nme, len(lines)):
-        if lines[extra].strip():
-            raise MeshFormatError(path, extra + 1, "unexpected content after last triangle")
-
-    try:
-        return Mesh(vertices, connectivity)
-    except ValueError as exc:
-        raise MeshFormatError(path, 1, f"invalid mesh: {exc}") from exc
+    for line_no in range(2 + nq + nme, len(lines) + 1):
+        if lines[line_no - 1].strip():
+            raise MeshFormatError(path, line_no, "unexpected content after last triangle")
+    raise MeshFormatError(path, 2, "numpy's parser rejected the file, but no line is malformed")

@@ -43,6 +43,10 @@ __all__ = [
 # to_dense() refuses anything larger than this many entries.
 DENSE_LIMIT = 10**8
 
+# Lines per write in the text writers: enough to make the per-block cost
+# vanish, few enough that a block's Python objects stay a few MiB.
+TEXT_BLOCK = 65536
+
 
 class CscMatrix:
     """Immutable CSC matrix: ``col_ptr`` (n_cols+1), ``row_idx`` and
@@ -393,11 +397,36 @@ class CscBuilder:
         return f"CscBuilder(shape=({self.n_rows}, {self.n_cols}), nnz={self.nnz})"
 
 
+def write_lines(f, line: str, n_lines: int, fields) -> None:
+    """Write ``n_lines`` text lines, ``TEXT_BLOCK`` of them per ``write``.
+
+    ``line`` is a %-format for one line.  ``fields(start, stop)`` returns
+    the fields of lines start..stop-1, one array per conversion in
+    ``line``; each block is formatted by one ``%`` over a flat object
+    array of them, so ints and floats meet the format as Python objects.
+    """
+    for start in range(0, n_lines, TEXT_BLOCK):
+        stop = min(start + TEXT_BLOCK, n_lines)
+        columns = fields(start, stop)
+        rows = np.empty((stop - start, len(columns)), dtype=object)
+        for k, column in enumerate(columns):
+            rows[:, k] = column
+        f.write(line * (stop - start) % tuple(rows.ravel()))
+
+
 def write_matrix_market(matrix: CscMatrix, path) -> None:
-    """Write the coordinate MatrixMarket format (1-based indices)."""
-    rows, cols, vals = matrix.triplets()
+    """Write the coordinate MatrixMarket format: 1-based indices, values
+    as ``%.17g``, entries in column-major storage order."""
+    # 1-based index strings, each made once for all the entries in its row or column
+    labels = np.array(
+        [str(i) for i in range(1, max(matrix.n_rows, matrix.n_cols) + 1)], dtype=object
+    )
+
+    def fields(start, stop):
+        cols = np.searchsorted(matrix.col_ptr, np.arange(start, stop), side="right") - 1
+        return labels[matrix.row_idx[start:stop]], labels[cols], matrix.values[start:stop]
+
     with open(path, "w", encoding="ascii") as f:
         f.write("%%MatrixMarket matrix coordinate real general\n")
         f.write(f"{matrix.n_rows} {matrix.n_cols} {matrix.nnz}\n")
-        for i, j, v in zip(rows, cols, vals):
-            f.write(f"{i + 1} {j + 1} {'%.17g' % v}\n")
+        write_lines(f, "%s %s %.17g\n", matrix.nnz, fields)

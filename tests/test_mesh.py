@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from femasm import (
     DegenerateTriangleError,
+    InvalidMeshError,
     Mesh,
     MeshFormatError,
     compute_areas,
@@ -11,6 +14,7 @@ from femasm import (
     read_mesh,
     write_mesh,
 )
+from femasm.sparse import TEXT_BLOCK
 
 
 class TestUnitSquare:
@@ -194,3 +198,173 @@ class TestMeshIO:
         with pytest.raises(MeshFormatError) as exc:
             read_mesh(path)
         assert exc.value.line_no == 6
+
+
+def reference_mesh_bytes(mesh: Mesh) -> bytes:
+    """The file write_mesh produces, written out one line at a time."""
+    out = [f"{mesh.nq} {mesh.nme}\n"]
+    for x, y in mesh.vertices:
+        out.append(f"{'%.17g' % x} {'%.17g' % y}\n")
+    for a, b, c in mesh.connectivity:
+        out.append(f"{a + 1} {b + 1} {c + 1}\n")
+    return "".join(out).encode("ascii")
+
+
+# four vertices, two triangles; vertex lines are 2..5, triangle lines 6..7
+QUAD = ["4 2", "0 0", "1 0", "1 1", "0 1", "1 2 3", "1 3 4"]
+
+
+def read_lines(tmp_path, lines, newline="\n"):
+    path = tmp_path / "mesh.txt"
+    path.write_bytes(newline.join(lines).encode("ascii") + newline.encode("ascii"))
+    return read_mesh(path)
+
+
+def format_error(tmp_path, lines) -> MeshFormatError:
+    with pytest.raises(MeshFormatError) as exc:
+        read_lines(tmp_path, lines)
+    return exc.value
+
+
+class TestMeshFileBytes:
+    def test_jittered_mesh_across_blocks(self, tmp_path):
+        n = 256  # nq = 66049 crosses one block, nme = 131072 is exactly two
+        square = generate_unit_square_mesh(n)
+        assert square.nq > TEXT_BLOCK and square.nme == 2 * TEXT_BLOCK
+        rng = np.random.default_rng(11)
+        mesh = Mesh(square.vertices + rng.uniform(-0.2, 0.2, square.vertices.shape) / n,
+                    square.connectivity)
+        path = tmp_path / "jitter.txt"
+        write_mesh(mesh, path)
+        assert path.read_bytes() == reference_mesh_bytes(mesh)
+        back = read_mesh(path)
+        assert np.array_equal(back.vertices.view(np.int64), mesh.vertices.view(np.int64))
+        assert np.array_equal(back.connectivity, mesh.connectivity)
+        assert back.connectivity.dtype == np.int64
+
+    def test_awkward_floats(self, tmp_path):
+        verts = np.array([[5e-324, -1 / 3], [1e20, 0.1], [-0.0, 1e15], [2.5e-310, -1e20]])
+        mesh = Mesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
+        path = tmp_path / "awkward.txt"
+        write_mesh(mesh, path)
+        assert path.read_bytes() == reference_mesh_bytes(mesh)
+        back = read_mesh(path)
+        assert np.array_equal(back.vertices.view(np.int64), verts.view(np.int64))
+
+
+class TestMeshFileErrors:
+    def test_accepts_tabs_and_crlf(self, tmp_path):
+        expected = read_lines(tmp_path, QUAD)
+        tabbed = [line.replace(" ", "\t") for line in QUAD]
+        assert read_lines(tmp_path, tabbed, newline="\r\n") == expected
+        spaced = ["  " + line.replace(" ", " \t ") + " " for line in QUAD]
+        assert read_lines(tmp_path, spaced) == expected
+
+    @pytest.mark.parametrize("token", ["nan", "1e400", "-inf"])
+    def test_non_finite_vertex_reports_its_line(self, tmp_path, token):
+        exc = format_error(tmp_path, QUAD[:2] + [f"{token} 0"] + QUAD[3:])
+        assert exc.line_no == 3
+        assert "invalid mesh: vertex 1 has a non-finite coordinate" in str(exc)
+        assert isinstance(exc.__cause__, InvalidMeshError)
+
+    def test_degenerate_triangle_reports_its_line(self, tmp_path):
+        # vertices 1, 2 and 3 of this file are collinear
+        exc = format_error(tmp_path, ["4 2", "0 0", "1 0", "2 0", "0 1", "1 2 4", "1 2 3"])
+        assert exc.line_no == 7
+        assert "invalid mesh: triangle 1 is degenerate" in str(exc)
+        assert isinstance(exc.__cause__, DegenerateTriangleError)
+
+    def test_repeated_indices_report_their_line(self, tmp_path):
+        exc = format_error(tmp_path, QUAD[:6] + ["1 3 3"])
+        assert exc.line_no == 7
+        assert "invalid mesh: triangle with repeated vertex indices" in str(exc)
+
+    def square_lines(self):
+        """Lines of the n=3 square's file: vertices on lines 2..17,
+        triangles on lines 18..35."""
+        lines = reference_mesh_bytes(generate_unit_square_mesh(3)).decode().splitlines()
+        assert len(lines) == 1 + 16 + 18
+        return lines
+
+    def test_short_triangle_line_mid_block(self, tmp_path):
+        lines = self.square_lines()
+        lines[26] = "5 6"
+        exc = format_error(tmp_path, lines)
+        assert exc.line_no == 27
+        assert "expected 3 fields for triangle, got 2" in str(exc)
+
+    def test_hash_line_in_vertex_block_is_not_a_comment(self, tmp_path):
+        lines = self.square_lines()
+        lines[6] = "# note"
+        exc = format_error(tmp_path, lines)
+        assert exc.line_no == 7 and "invalid coordinate" in str(exc)
+        lines[6] = "#"
+        exc = format_error(tmp_path, lines)
+        assert exc.line_no == 7 and "expected 2 coordinates, got 1" in str(exc)
+
+    def test_blank_lines_inside_blocks(self, tmp_path):
+        lines = self.square_lines()
+        exc = format_error(tmp_path, lines[:9] + [""] + lines[10:])
+        assert exc.line_no == 10 and "expected 2 coordinates, got 0" in str(exc)
+        exc = format_error(tmp_path, lines[:30] + ["  "] + lines[31:])
+        assert exc.line_no == 31 and "expected 3 fields for triangle, got 0" in str(exc)
+
+    @pytest.mark.parametrize("line_no", [1, 3, 6, 8])
+    def test_non_ascii_byte_reports_its_line(self, tmp_path, line_no):
+        data = [line.encode("ascii") for line in QUAD + [""]]
+        data[line_no - 1] += "\u00e9".encode("utf-8")
+        path = tmp_path / "mesh.txt"
+        path.write_bytes(b"\n".join(data) + b"\n")
+        with pytest.raises(MeshFormatError) as exc:
+            read_mesh(path)
+        assert exc.value.line_no == line_no
+
+    def test_all_blank_vertex_block_warns_nothing(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            exc = format_error(tmp_path, ["4 2", "", "", "", ""] + QUAD[5:])
+        assert exc.line_no == 2
+        assert caught == []
+
+    @pytest.mark.parametrize(
+        "index, message",
+        [
+            ("1.5", "invalid integer in triangle"),
+            ("1_0", "invalid integer in triangle"),
+            ("0x1", "invalid integer in triangle"),
+            ("0", "vertex index 0 out of range 1..16"),
+            ("-3", "vertex index -3 out of range 1..16"),
+            ("17", "vertex index 17 out of range 1..16"),
+            ("9223372036854775807", "vertex index 9223372036854775807 out of range 1..16"),
+            ("99999999999999999999", "vertex index 99999999999999999999 out of range 1..16"),
+        ],
+    )
+    def test_bad_index_reports_its_line(self, tmp_path, index, message):
+        lines = self.square_lines()
+        lines[24] = f"1 {index} 2"
+        exc = format_error(tmp_path, lines)
+        assert exc.line_no == 25
+        assert message in str(exc)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1", "-0.5", "+.5", "5.", "1E5", "1e-400", "nan", "-Infinity", "1_0", "0x1p3",
+         "1,5", ".", "e5", "1e", "1d5", "1j", "--1", "1e5e", "#1"],
+    )
+    def test_scan_agrees_with_the_parser(self, tmp_path, token):
+        # a token numpy's parser refuses is reported at its line by the scan;
+        # one it takes reaches Mesh, which may still refuse a non-finite value
+        try:
+            np.loadtxt([f"{token} 0"], dtype=np.float64, comments=None)
+            parsed = True
+        except ValueError:
+            parsed = False
+        lines = self.square_lines()
+        lines[4] = f"{token} 0"
+        try:
+            read_lines(tmp_path, lines)
+            assert parsed
+        except MeshFormatError as exc:
+            assert exc.line_no == 5
+            assert ("invalid coordinate" in str(exc)) == (not parsed)
+            assert "no line is malformed" not in str(exc)

@@ -9,6 +9,7 @@ from femasm import (
     max_abs_diff,
     write_matrix_market,
 )
+from femasm.sparse import TEXT_BLOCK
 
 from oracles import dense_from_triplets
 
@@ -262,7 +263,57 @@ class TestPattern:
             Pattern.from_triplets(EX_I, EX_J, 3, 4).assemble([1.0])
 
 
+def reference_matrix_market_bytes(matrix: CscMatrix) -> bytes:
+    """The file write_matrix_market produces, written out one entry at a time."""
+    out = ["%%MatrixMarket matrix coordinate real general\n",
+           f"{matrix.n_rows} {matrix.n_cols} {matrix.nnz}\n"]
+    cols = np.repeat(np.arange(matrix.n_cols), np.diff(matrix.col_ptr))
+    for i, j, v in zip(matrix.row_idx, cols, matrix.values):
+        out.append(f"{i + 1} {j + 1} {'%.17g' % v}\n")
+    return "".join(out).encode("ascii")
+
+
 class TestMatrixMarket:
+    def assert_reference_bytes(self, matrix, tmp_path):
+        path = tmp_path / "a.mtx"
+        write_matrix_market(matrix, path)
+        assert path.read_bytes() == reference_matrix_market_bytes(matrix)
+
+    def test_awkward_values(self, tmp_path):
+        vals = [5e-324, 1.7976931348623157e308, -1 / 3, 0.1, -1.7976931348623157e308, 1e-310]
+        a = csc_from_triplets([0, 3, 1, 2, 0, 11], [0, 0, 2, 2, 9, 9], vals, 12, 10)
+        assert a.nnz == len(vals)
+        self.assert_reference_bytes(a, tmp_path)
+
+    def test_explicit_zeros_kept_by_builder(self, tmp_path):
+        b = CscBuilder(4, 3)
+        b.add(1, 0, 2.0)
+        b.add(1, 0, -2.0)
+        b.add(3, 2, -0.0)
+        b.add(0, 2, 0.5)
+        a = b.to_matrix()
+        assert a.nnz == 3 and a.values.tolist() == [0.0, 0.5, -0.0]
+        self.assert_reference_bytes(a, tmp_path)
+        assert (tmp_path / "a.mtx").read_text().splitlines()[2:] == ["2 1 0", "1 3 0.5", "4 3 -0"]
+
+    def test_no_entries(self, tmp_path):
+        a = csc_from_triplets([0], [0], [0.0], 5, 7)
+        assert a.nnz == 0
+        self.assert_reference_bytes(a, tmp_path)
+        assert (tmp_path / "a.mtx").read_text().splitlines()[1:] == ["5 7 0"]
+
+    def test_entries_across_blocks(self, tmp_path):
+        nnz = 2 * TEXT_BLOCK + 1
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 1000, nnz)
+        cols = rng.integers(0, 300, nnz)
+        code = np.unique(cols * 1000 + rows)
+        while code.size < nnz:  # top up to exactly nnz distinct positions
+            code = np.unique(np.concatenate([code, rng.integers(0, 300_000, nnz - code.size)]))
+        a = csc_from_triplets(code % 1000, code // 1000, rng.standard_normal(nnz), 1000, 300)
+        assert a.nnz == nnz
+        self.assert_reference_bytes(a, tmp_path)
+
     def test_scipy_reads_it_back(self, tmp_path):
         scipy_io = pytest.importorskip("scipy.io")
         a = example_matrix()
