@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .assembly import (
     AssemblyBudgetExceeded,
-    GradientBatch,
     MatrixKind,
     Strategy,
     WeightField,
@@ -27,7 +26,6 @@ from .assembly import (
 from .bench import BenchRecord, fit_loglog_slope, read_records_csv, run_bench, write_records_csv
 from .elements import (
     ElasticParams,
-    elasticity_tensor,
     elem_mass,
     elem_mass_weighted,
     elem_stiff,
@@ -60,7 +58,6 @@ __all__ = [
     "CscMatrix",
     "DegenerateTriangleError",
     "ElasticParams",
-    "GradientBatch",
     "InvalidMeshError",
     "MatrixKind",
     "Mesh",
@@ -78,7 +75,6 @@ __all__ = [
     "build_ig_jg_p1_vector",
     "compute_areas",
     "csc_from_triplets",
-    "elasticity_tensor",
     "elem_mass",
     "elem_mass_weighted",
     "elem_stiff",

@@ -21,8 +21,10 @@ numeric phase of each call is the ``batch_kg_*`` kernel plus
 ``Pattern.assemble``, and its result equals ``csc_from_triplets`` on the
 same triplets bit for bit.
 
-All strategies produce the same matrix up to roundoff; the point of
-keeping the slow ones around is the benchmark CLI.
+All strategies run the one formula per kind of ``elements`` and sum each
+entry in triangle order, so they give the same matrix bit for bit
+(CLASSICAL and OPTV0 keep exact zeros as entries); the point of keeping
+the slow ones around is the benchmark CLI.
 """
 
 from __future__ import annotations
@@ -34,13 +36,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import elements
 from .elements import ElasticParams, elem_mass, elem_mass_weighted, elem_stiff, elem_stiff_elastic
 from .mesh import AREA_EPS, DegenerateTriangleError, Mesh
 from .sparse import CscBuilder, CscMatrix, Pattern, csc_from_triplets
 
 __all__ = [
     "AssemblyBudgetExceeded",
-    "GradientBatch",
     "MatrixKind",
     "Strategy",
     "WeightField",
@@ -53,6 +55,7 @@ __all__ = [
     "build_ig_jg_p1",
     "build_ig_jg_p1_vector",
     "build_pattern_p1",
+    "element_dofs",
     "expand_pattern_p1_vector",
 ]
 
@@ -137,42 +140,27 @@ class WeightField:
         return tw
 
 
-@dataclass(frozen=True)
-class GradientBatch:
-    """Constant P1 basis gradients per triangle, each array 2 x nme;
-    per triangle the three gradients sum to zero."""
-
-    g1: np.ndarray
-    g2: np.ndarray
-    g3: np.ndarray
-
-    def __post_init__(self):
-        shape = self.g1.shape
-        if len(shape) != 2 or shape[0] != 2:
-            raise ValueError(f"gradient arrays must be 2 x nme, got {shape}")
-        if self.g2.shape != shape or self.g3.shape != shape:
-            raise ValueError("gradient arrays disagree in shape")
-        total = self.g1 + self.g2 + self.g3
-        scale = max(1.0, float(np.abs(self.g1).max()))
-        if np.abs(total).max() > 1e-12 * scale:
-            raise ValueError("basis gradients do not sum to zero")
-
-
-def _corner_coords(mesh: Mesh):
-    """Vertex coordinates of each triangle as three (nme, 2) arrays."""
-    q = mesh.vertices
+def _corner_coords(mesh: Mesh) -> list[np.ndarray]:
+    """x1, y1, x2, y2, x3, y3 of every triangle, each of shape (nme,)."""
+    x, y = mesh.vertices.T
     me = mesh.connectivity
-    return q[me[:, 0]], q[me[:, 1]], q[me[:, 2]]
+    return [c[me[:, a]] for a in range(3) for c in (x, y)]
 
 
-def _check_batch_areas(areas: np.ndarray) -> None:
-    bad = np.flatnonzero(areas <= AREA_EPS)
-    if bad.size:
-        raise DegenerateTriangleError(bad[0], areas[bad[0]])
+def element_dofs(connectivity: np.ndarray, vector: bool) -> np.ndarray:
+    """Global degrees of freedom of every triangle, (nme, 3) for the
+    scalar kinds and (nme, 6) for the vector-valued one, whose local
+    ordering interleaves (2*i1, 2*i1+1, 2*i2, 2*i2+1, 2*i3, 2*i3+1)."""
+    dofs = np.asarray(connectivity)
+    if vector:
+        dofs = (2 * dofs[:, :, None] + (0, 1)).reshape(dofs.shape[0], 6)
+    return dofs.astype(np.int32 if dofs.max() < 2**31 else np.int64)
 
 
-def _index_dtype(max_dof: int):
-    return np.int32 if max_dof < 2**31 else np.int64
+def _ig_jg(dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rows, cols = elements.local_map(dofs.shape[1])
+    # built transposed so the n^2 x nme results are contiguous column-wise
+    return dofs[:, rows].T, dofs[:, cols].T
 
 
 def build_ig_jg_p1(connectivity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,30 +170,14 @@ def build_ig_jg_p1(connectivity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     column-wise: rows follow the pattern (i1 i2 i3 i1 i2 i3 i1 i2 i3),
     columns the pattern (i1 i1 i1 i2 i2 i2 i3 i3 i3).
     """
-    conn = np.asarray(connectivity)
-    dofs = conn.astype(_index_dtype(int(conn.max())))  # (nme, 3)
-    # build transposed so the 9 x nme result is contiguous column-wise
-    ig = np.tile(dofs, (1, 3)).T
-    jg = np.repeat(dofs, 3, axis=1).T
-    return ig, jg
+    return _ig_jg(element_dofs(connectivity, False))
 
 
 def build_ig_jg_p1_vector(connectivity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Global index arrays, 36 x nme, for the vector-valued elastic kind.
-
-    Triangle k's degrees of freedom are the interleaved list
-    (2*i1, 2*i1+1, 2*i2, 2*i2+1, 2*i3, 2*i3+1); column k enumerates the
-    six-by-six outer product of that list, column-wise.
-    """
-    conn = np.asarray(connectivity)
-    dtype = _index_dtype(2 * int(conn.max()) + 1)
-    dofs = np.empty((conn.shape[0], 6), dtype=dtype)  # (nme, 6)
-    dofs[:, 0::2] = 2 * conn
-    dofs[:, 1::2] = 2 * conn
-    dofs[:, 1::2] += 1
-    ig = np.tile(dofs, (1, 6)).T
-    jg = np.repeat(dofs, 6, axis=1).T
-    return ig, jg
+    """Global index arrays, 36 x nme, for the vector-valued elastic kind:
+    column k enumerates the six-by-six outer product of triangle k's
+    ``element_dofs``, column-wise."""
+    return _ig_jg(element_dofs(connectivity, True))
 
 
 def build_pattern_p1(mesh: Mesh) -> Pattern:
@@ -251,123 +223,60 @@ def expand_pattern_p1_vector(pattern: Pattern) -> Pattern:
     return Pattern(2 * n, 2 * n, vec_col_ptr, row_idx, slot.ravel())
 
 
-def batch_gradients(mesh: Mesh) -> GradientBatch:
-    """True constant basis gradients for every triangle.
-
-    g_a = perp(edge_a) / (2 * area) with edges u = q2-q3, v = q3-q1,
-    w = q1-q2; the area factor is NOT folded into the gradients, value
-    kernels multiply it back explicitly.
-    """
-    _check_batch_areas(mesh.areas)
-    q1, q2, q3 = _corner_coords(mesh)
-    inv2a = 0.5 / mesh.areas
-    u = q2 - q3
-    v = q3 - q1
-    w = q1 - q2
-    g1 = np.stack([u[:, 1], -u[:, 0]]) * inv2a
-    g2 = np.stack([v[:, 1], -v[:, 0]]) * inv2a
-    g3 = np.stack([w[:, 1], -w[:, 0]]) * inv2a
-    return GradientBatch(g1, g2, g3)
+def batch_gradients(mesh: Mesh) -> np.ndarray:
+    """Constant basis gradients of every triangle, (3, 2, nme): entry
+    [a, c, k] is component c of g_(a+1) on triangle k (``fill_gradients``).
+    The area factor is NOT folded into the gradients; value kernels
+    multiply it back explicitly."""
+    g = np.empty((3, 2, mesh.nme))
+    elements.fill_gradients(g.reshape(6, mesh.nme), *_corner_coords(mesh), mesh.areas)
+    return g
 
 
 def batch_kg_mass(areas: np.ndarray) -> np.ndarray:
-    """Value array, 9 x nme, of the mass element matrices: the diagonal
-    rows {0, 4, 8} hold area/6, the six off-diagonal rows area/12."""
+    """Value array, 9 x nme, of the mass element matrices (``fill_mass``):
+    the diagonal rows {0, 4, 8} hold area/6, the six off-diagonal rows
+    area/12."""
     areas = np.asarray(areas, dtype=np.float64)
-    _check_batch_areas(areas)
-    a6 = areas / 6.0
-    a12 = areas / 12.0
+    bad = np.flatnonzero(~(areas > AREA_EPS))
+    if bad.size:
+        raise DegenerateTriangleError(bad[0], areas[bad[0]])
     kg = np.empty((9, areas.size))
-    kg[[0, 4, 8]] = a6
-    kg[[1, 2, 3, 5, 6, 7]] = a12
+    elements.fill_mass(kg, areas)
     return kg
 
 
 def batch_kg_mass_weighted(mesh: Mesh, weight: WeightField) -> np.ndarray:
     """Value array, 9 x nme, of the weighted mass element matrices with
-    the weight sampled at the vertices."""
-    tw = weight.sample(mesh)
-    me = mesh.connectivity
-    w1 = tw[me[:, 0]] * mesh.areas / 30.0
-    w2 = tw[me[:, 1]] * mesh.areas / 30.0
-    w3 = tw[me[:, 2]] * mesh.areas / 30.0
+    the weight sampled at the vertices (``fill_mass_weighted``)."""
     kg = np.empty((9, mesh.nme))
-    kg[0] = 3.0 * w1 + w2 + w3
-    kg[1] = w1 + w2 + w3 / 2.0
-    kg[2] = w1 + w2 / 2.0 + w3
-    kg[4] = w1 + 3.0 * w2 + w3
-    kg[5] = w1 / 2.0 + w2 + w3
-    kg[8] = w1 + w2 + 3.0 * w3
-    kg[[3, 6, 7]] = kg[[1, 2, 5]]
+    tw, me = weight.sample(mesh), mesh.connectivity
+    elements.fill_mass_weighted(kg, mesh.areas, tw[me[:, 0]], tw[me[:, 1]], tw[me[:, 2]])
     return kg
 
 
 def batch_kg_stiff(mesh: Mesh) -> np.ndarray:
-    """Value array, 9 x nme, of the stiffness element matrices: pairwise
-    dot products of the edge vectors over 4*area, six unique rows plus
-    three symmetry copies."""
-    _check_batch_areas(mesh.areas)
-    q1, q2, q3 = _corner_coords(mesh)
-    u = q2 - q3
-    v = q3 - q1
-    w = q1 - q2
-    a4 = 4.0 * mesh.areas
+    """Value array, 9 x nme, of the stiffness element matrices
+    (``fill_stiff``)."""
     kg = np.empty((9, mesh.nme))
-    kg[0] = (u * u).sum(axis=1) / a4
-    kg[1] = (v * u).sum(axis=1) / a4
-    kg[2] = (w * u).sum(axis=1) / a4
-    kg[4] = (v * v).sum(axis=1) / a4
-    kg[5] = (w * v).sum(axis=1) / a4
-    kg[8] = (w * w).sum(axis=1) / a4
-    kg[[3, 6, 7]] = kg[[1, 2, 5]]
+    elements.fill_stiff(kg, *_corner_coords(mesh), mesh.areas)
     return kg
 
 
 def batch_kg_elastic(mesh: Mesh, params: ElasticParams) -> np.ndarray:
-    """Value array, 36 x nme, of the elastic element matrices.
-
-    Twenty-one rows are computed from the basis gradients, the fifteen
-    remaining ones are symmetry copies.  Row r holds entry
-    (r mod 6, r div 6) of the 6x6 element matrix.
-    """
-    grads = batch_gradients(mesh)
-    g1x, g1y = grads.g1
-    g2x, g2y = grads.g2
-    g3x, g3y = grads.g3
-    lam, mu = params.lam, params.mu
-    lpm2 = lam + 2.0 * mu
-    a = mesh.areas
-
+    """Value array, 36 x nme, of the elastic element matrices
+    (``fill_elastic``).  Row r holds entry (r mod 6, r div 6) of the 6x6
+    element matrix."""
+    g = batch_gradients(mesh)
     kg = np.empty((36, mesh.nme))
-    kg[0] = (lpm2 * g1x * g1x + mu * g1y * g1y) * a
-    kg[1] = (lam * g1x * g1y + mu * g1x * g1y) * a
-    kg[2] = (lpm2 * g1x * g2x + mu * g1y * g2y) * a
-    kg[3] = (lam * g1x * g2y + mu * g1y * g2x) * a
-    kg[4] = (lpm2 * g1x * g3x + mu * g1y * g3y) * a
-    kg[5] = (lam * g1x * g3y + mu * g1y * g3x) * a
-    kg[7] = (lpm2 * g1y * g1y + mu * g1x * g1x) * a
-    kg[8] = (lam * g1y * g2x + mu * g1x * g2y) * a
-    kg[9] = (lpm2 * g1y * g2y + mu * g1x * g2x) * a
-    kg[10] = (lam * g1y * g3x + mu * g1x * g3y) * a
-    kg[11] = (lpm2 * g1y * g3y + mu * g1x * g3x) * a
-    kg[14] = (lpm2 * g2x * g2x + mu * g2y * g2y) * a
-    kg[15] = (lam * g2x * g2y + mu * g2x * g2y) * a
-    kg[16] = (lpm2 * g2x * g3x + mu * g2y * g3y) * a
-    kg[17] = (lam * g2x * g3y + mu * g2y * g3x) * a
-    kg[21] = (lpm2 * g2y * g2y + mu * g2x * g2x) * a
-    kg[22] = (lam * g2y * g3x + mu * g2x * g3y) * a
-    kg[23] = (lpm2 * g2y * g3y + mu * g2x * g3x) * a
-    kg[28] = (lpm2 * g3x * g3x + mu * g3y * g3y) * a
-    kg[29] = (lam * g3x * g3y + mu * g3x * g3y) * a
-    kg[35] = (lpm2 * g3y * g3y + mu * g3x * g3x) * a
-    kg[[6, 12, 13, 18, 19, 20, 24, 25, 26, 27, 30, 31, 32, 33, 34]] = kg[
-        [1, 2, 8, 3, 9, 15, 4, 10, 16, 22, 5, 11, 17, 23, 29]
-    ]
+    elements.fill_elastic(kg, g.reshape(6, mesh.nme), mesh.areas, params.lam, params.mu)
     return kg
 
 
 def _element_matrix_factory(mesh: Mesh, kind: MatrixKind, weight, params):
-    """Per-triangle element matrix closure for the element-loop strategies."""
+    """Per-triangle element matrix closure for the element-loop strategies.
+    Each call reads its own triangle's inputs, so no whole-mesh Python
+    list is ever built."""
     areas = mesh.areas
     me = mesh.connectivity
     q = mesh.vertices
@@ -375,100 +284,68 @@ def _element_matrix_factory(mesh: Mesh, kind: MatrixKind, weight, params):
         return lambda k: elem_mass(areas[k])
     if kind is MatrixKind.WEIGHTED_MASS:
         tw = weight.sample(mesh)
-        return lambda k: elem_mass_weighted(
-            areas[k], tw[me[k, 0]], tw[me[k, 1]], tw[me[k, 2]]
-        )
+        return lambda k: elem_mass_weighted(areas[k], *tw[me[k]].tolist())
     if kind is MatrixKind.STIFFNESS:
-        return lambda k: elem_stiff(q[me[k, 0]], q[me[k, 1]], q[me[k, 2]], areas[k])
-    return lambda k: elem_stiff_elastic(
-        q[me[k, 0]], q[me[k, 1]], q[me[k, 2]], areas[k], params
-    )
+        return lambda k: elem_stiff(*q[me[k]].tolist(), areas[k])
+    return lambda k: elem_stiff_elastic(*q[me[k]].tolist(), areas[k], params)
 
 
-def _element_dofs_factory(mesh: Mesh, kind: MatrixKind):
-    me = mesh.connectivity
-    if not kind.is_vector:
-        return lambda k: me[k]
-
-    def dofs(k):
-        out = np.empty(6, dtype=np.int64)
-        out[0::2] = 2 * me[k]
-        out[1::2] = 2 * me[k] + 1
-        return out
-
-    return dofs
-
-
-class _Budget:
-    """Cooperative deadline, checked once per triangle in element loops."""
-
-    def __init__(self, seconds: Optional[float], n_elements: int):
-        self.seconds = seconds
-        self.n_elements = n_elements
-        self.t0 = time.perf_counter()
-
-    def check(self, k: int) -> None:
-        if self.seconds is None:
-            return
-        elapsed = time.perf_counter() - self.t0
-        if elapsed > self.seconds:
-            raise AssemblyBudgetExceeded(elapsed, k, self.n_elements)
+def _triangles(n_elements: int, seconds: Optional[float]):
+    """range(n_elements) for the element loops, with a cooperative deadline
+    checked once per triangle."""
+    t0 = time.perf_counter()
+    for k in range(n_elements):
+        if seconds is not None:
+            elapsed = time.perf_counter() - t0
+            if elapsed > seconds:
+                raise AssemblyBudgetExceeded(elapsed, k, n_elements)
+        yield k
 
 
 def _assemble_incremental(mesh, kind, weight, params, block_wise, budget_s):
     elem = _element_matrix_factory(mesh, kind, weight, params)
-    dofs = _element_dofs_factory(mesh, kind)
+    dofs = element_dofs(mesh.connectivity, kind.is_vector)
     n = kind.n_dof(mesh.nq)
     builder = CscBuilder(n, n)
-    order = 6 if kind.is_vector else 3
-    budget = _Budget(budget_s, mesh.nme)
-    for k in range(mesh.nme):
-        budget.check(k)
+    for k in _triangles(mesh.nme, budget_s):
         e = elem(k)
-        ids = dofs(k)
+        ids = dofs[k].tolist()
         if block_wise:
             builder.add_block(ids, ids, e)
         else:
-            for il in range(order):
-                for jl in range(order):
-                    builder.add(ids[il], ids[jl], e[il, jl])
+            for i, row in zip(ids, e.tolist()):
+                for j, v in zip(ids, row):
+                    builder.add(i, j, v)
     return builder.to_matrix()
 
 
 def _assemble_triplet_loop(mesh, kind, weight, params, budget_s):
     elem = _element_matrix_factory(mesh, kind, weight, params)
-    dofs = _element_dofs_factory(mesh, kind)
+    dofs = element_dofs(mesh.connectivity, kind.is_vector)
+    rows, cols = elements.local_map(dofs.shape[1])
     n = kind.n_dof(mesh.nq)
-    r = 36 if kind.is_vector else 9
-    reps = 6 if kind.is_vector else 3
+    r = rows.size
     ig = np.empty(r * mesh.nme, dtype=np.int64)
     jg = np.empty(r * mesh.nme, dtype=np.int64)
     kg = np.empty(r * mesh.nme, dtype=np.float64)
-    budget = _Budget(budget_s, mesh.nme)
-    kk = 0
-    for k in range(mesh.nme):
-        budget.check(k)
-        ids = dofs(k)
-        ig[kk : kk + r] = np.tile(ids, reps)
-        jg[kk : kk + r] = np.repeat(ids, reps)
-        kg[kk : kk + r] = elem(k).ravel(order="F")
-        kk += r
+    for k in _triangles(mesh.nme, budget_s):
+        ids, at = dofs[k], slice(r * k, r * k + r)
+        ig[at] = ids[rows]
+        jg[at] = ids[cols]
+        kg[at] = elem(k).ravel(order="F")
     return csc_from_triplets(ig, jg, kg, n, n)
 
 
 def _assemble_batched(mesh, kind, weight, params):
-    if kind.is_vector:
-        kg = batch_kg_elastic(mesh, params)
-        pattern = mesh.vector_pattern
+    if kind is MatrixKind.ELASTIC:
+        return mesh.vector_pattern.assemble(batch_kg_elastic(mesh, params).ravel(order="F"))
+    if kind is MatrixKind.MASS:
+        kg = batch_kg_mass(mesh.areas)
+    elif kind is MatrixKind.WEIGHTED_MASS:
+        kg = batch_kg_mass_weighted(mesh, weight)
     else:
-        if kind is MatrixKind.MASS:
-            kg = batch_kg_mass(mesh.areas)
-        elif kind is MatrixKind.WEIGHTED_MASS:
-            kg = batch_kg_mass_weighted(mesh, weight)
-        else:
-            kg = batch_kg_stiff(mesh)
-        pattern = mesh.pattern
-    return pattern.assemble(kg.ravel(order="F"))
+        kg = batch_kg_stiff(mesh)
+    return mesh.pattern.assemble(kg.ravel(order="F"))
 
 
 def assemble(
@@ -489,7 +366,7 @@ def assemble(
     completion regardless.
 
     The result is n x n with n = nq (scalar kinds) or 2*nq (elastic);
-    the four strategies agree to roundoff.
+    the four strategies give the same values bit for bit.
     """
     if kind is MatrixKind.WEIGHTED_MASS:
         if weight is None:

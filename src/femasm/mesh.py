@@ -70,20 +70,25 @@ def compute_areas(vertices: np.ndarray, connectivity: np.ndarray) -> np.ndarray:
     """Triangle areas, 0.5*|cross(q2-q1, q3-q1)| per triangle.
 
     Raises DegenerateTriangleError (with the triangle index) if any area
-    is at or below AREA_EPS.
+    is at or below AREA_EPS, and InvalidMeshError (with the triangle
+    index) if any area is not finite, as when it overflows.
     """
     vertices = np.asarray(vertices, dtype=np.float64)
     connectivity = np.asarray(connectivity, dtype=np.int64)
     p1 = vertices[connectivity[:, 0]]
     p2 = vertices[connectivity[:, 1]]
     p3 = vertices[connectivity[:, 2]]
-    cross = (p2[:, 0] - p1[:, 0]) * (p3[:, 1] - p1[:, 1]) - (
-        p3[:, 0] - p1[:, 0]
-    ) * (p2[:, 1] - p1[:, 1])
-    areas = 0.5 * np.abs(cross)
-    bad = np.flatnonzero(areas <= AREA_EPS)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        cross = (p2[:, 0] - p1[:, 0]) * (p3[:, 1] - p1[:, 1]) - (
+            p3[:, 0] - p1[:, 0]
+        ) * (p2[:, 1] - p1[:, 1])
+        areas = 0.5 * np.abs(cross)
+    bad = np.flatnonzero(~((areas > AREA_EPS) & (areas < np.inf)))
     if bad.size:
-        raise DegenerateTriangleError(bad[0], areas[bad[0]])
+        k = bad[0]
+        if not np.isfinite(areas[k]):
+            raise InvalidMeshError(f"triangle {k} has a non-finite area ({areas[k]:g})", triangle=k)
+        raise DegenerateTriangleError(k, areas[k])
     return areas
 
 

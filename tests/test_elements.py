@@ -3,7 +3,6 @@ import pytest
 
 from femasm import (
     ElasticParams,
-    elasticity_tensor,
     elem_mass,
     elem_mass_weighted,
     elem_stiff,
@@ -136,21 +135,13 @@ class TestStiffness:
 
 
 class TestElasticParams:
-    def test_basic_tensor(self):
-        p = elasticity_tensor(1.0, 1.0)
-        assert np.array_equal(p.C, [[3, 1, 0], [1, 3, 0], [0, 0, 1]])
-
-    def test_zero_lambda(self):
-        p = elasticity_tensor(0.0, 1.0)
-        assert np.array_equal(p.C, [[2, 0, 0], [0, 2, 0], [0, 0, 1]])
-
     def test_invalid_combinations(self):
         with pytest.raises(ValueError):
-            elasticity_tensor(-1.0, 0.5)
+            ElasticParams(-1.0, 0.5)
         with pytest.raises(ValueError):
-            elasticity_tensor(1.0, 0.0)
+            ElasticParams(1.0, 0.0)
         with pytest.raises(ValueError):
-            elasticity_tensor(1.0, -2.0)
+            ElasticParams(1.0, -2.0)
 
 
 class TestElastic:

@@ -120,6 +120,18 @@ class TestMeshValidation:
         with pytest.raises(ValueError, match="vertex 5 has a non-finite"):
             Mesh(verts, square.connectivity)
 
+    def test_overflowing_area_names_triangle(self):
+        # finite coordinates whose cross product overflows: the area is inf
+        big = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidMeshError, match="triangle 0 has a non-finite area") as exc:
+                Mesh([[0, 0], [big, 0], [0, big], [big, big]], [[0, 1, 2], [1, 3, 2]])
+            assert exc.value.triangle == 0
+            with pytest.raises(InvalidMeshError, match="triangle 1 has a non-finite area") as exc:
+                Mesh([[0, 0], [1, 0], [0, 1], [big, big]], [[0, 1, 2], [1, 3, 2]])
+            assert exc.value.triangle == 1
+
     def test_immutable(self):
         m = generate_unit_square_mesh(2)
         with pytest.raises(AttributeError):
@@ -273,6 +285,11 @@ class TestMeshFileErrors:
         assert exc.line_no == 7
         assert "invalid mesh: triangle 1 is degenerate" in str(exc)
         assert isinstance(exc.__cause__, DegenerateTriangleError)
+
+    def test_overflowing_area_reports_its_line(self, tmp_path):
+        exc = format_error(tmp_path, ["4 2", "0 0", "1 0", "0 1", "1.7e308 1.7e308", "1 2 3", "2 4 3"])
+        assert exc.line_no == 7
+        assert "invalid mesh: triangle 1 has a non-finite area (inf)" in str(exc)
 
     def test_repeated_indices_report_their_line(self, tmp_path):
         exc = format_error(tmp_path, QUAD[:6] + ["1 3 3"])
