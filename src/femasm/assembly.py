@@ -10,16 +10,19 @@ Strategies, slowest to fastest:
 * ``OPTV1``     - per-triangle element matrix written into preallocated
   triplet arrays, one CSC construction at the end.
 * ``OPTV2``     - no per-element work at all: value arrays are produced by
-  whole-mesh batch kernels and summed into the mesh's sparsity pattern.
+  batch kernels over blocks of triangles and summed into the mesh's
+  sparsity pattern.
 
 OPTV2 splits the CSC construction in two.  The symbolic phase sorts the
 9 x nme index stream of ``build_ig_jg_p1`` once per mesh
 (``build_pattern_p1``, kept as ``Mesh.pattern`` and shared by the three
 scalar kinds); the elastic pattern is its 2x2 block expansion
 (``expand_pattern_p1_vector``), so no 36 x nme sort ever runs.  The
-numeric phase of each call is the ``batch_kg_*`` kernel plus
-``Pattern.assemble``, and its result equals ``csc_from_triplets`` on the
-same triplets bit for bit.
+numeric phase of each call runs the ``batch_kg_*`` kernel on one block of
+``BLOCK_BYTES`` worth of values at a time, in element-major order, and
+``Pattern.assemble_blocks`` adds each block into the slots, so no
+whole-mesh value array is ever built.  Its result equals
+``csc_from_triplets`` on the same triplets bit for bit.
 
 All strategies run the one formula per kind of ``elements`` and sum each
 entry in triangle order, so they give the same matrix bit for bit
@@ -39,7 +42,7 @@ import numpy as np
 from . import elements
 from .elements import ElasticParams, elem_mass, elem_mass_weighted, elem_stiff, elem_stiff_elastic
 from .mesh import AREA_EPS, DegenerateTriangleError, Mesh
-from .sparse import CscBuilder, CscMatrix, Pattern, csc_from_triplets
+from .sparse import CscBuilder, CscMatrix, Pattern, csc_from_triplets, slot_dtype
 
 __all__ = [
     "AssemblyBudgetExceeded",
@@ -58,6 +61,12 @@ __all__ = [
     "element_dofs",
     "expand_pattern_p1_vector",
 ]
+
+# Bytes of element-matrix values OPTV2 computes at once (MILAMIN's blocking):
+# a block stays in cache while it is summed into the slots, and the numeric
+# phase needs memory for one block, not for the mesh.
+BLOCK_BYTES = 2**21
+
 
 class MatrixKind(Enum):
     """The assembled bilinear forms."""
@@ -140,10 +149,10 @@ class WeightField:
         return tw
 
 
-def _corner_coords(mesh: Mesh) -> list[np.ndarray]:
-    """x1, y1, x2, y2, x3, y3 of every triangle, each of shape (nme,)."""
+def _corner_coords(mesh: Mesh, block: slice) -> list[np.ndarray]:
+    """x1, y1, x2, y2, x3, y3 of the triangles in ``block``, each (b,)."""
     x, y = mesh.vertices.T
-    me = mesh.connectivity
+    me = mesh.connectivity[block]
     return [c[me[:, a]] for a in range(3) for c in (x, y)]
 
 
@@ -212,24 +221,25 @@ def expand_pattern_p1_vector(pattern: Pattern) -> Pattern:
     nme = pattern.slot.size // 9
     scalar_slot = pattern.slot.reshape(nme, 3, 3)  # [k, cb, ra]
     row_idx = np.empty(4 * nnz, dtype=np.int64)
-    slot = np.empty((nme, 3, 2, 3, 2), dtype=np.int64)  # [k, cb, c, ra, r]
+    slot = np.empty((nme, 3, 2, 3, 2), dtype=slot_dtype(4 * nnz))  # [k, cb, c, ra, r]
     for c in (0, 1):
         base = first + c * step
         row_idx[base] = 2 * pattern.row_idx
         row_idx[base + 1] = 2 * pattern.row_idx + 1
-        base = base[scalar_slot]
+        base = base.astype(slot.dtype)[scalar_slot]
         slot[:, :, c, :, 0] = base
-        slot[:, :, c, :, 1] = base + 1
+        np.add(base, 1, out=slot[:, :, c, :, 1])
     return Pattern(2 * n, 2 * n, vec_col_ptr, row_idx, slot.ravel())
 
 
-def batch_gradients(mesh: Mesh) -> np.ndarray:
-    """Constant basis gradients of every triangle, (3, 2, nme): entry
-    [a, c, k] is component c of g_(a+1) on triangle k (``fill_gradients``).
-    The area factor is NOT folded into the gradients; value kernels
-    multiply it back explicitly."""
-    g = np.empty((3, 2, mesh.nme))
-    elements.fill_gradients(g.reshape(6, mesh.nme), *_corner_coords(mesh), mesh.areas)
+def batch_gradients(mesh: Mesh, block: slice = slice(None)) -> np.ndarray:
+    """Constant basis gradients of the triangles in ``block`` (all by
+    default), (3, 2, b): entry [a, c, k] is component c of g_(a+1) on the
+    block's triangle k (``fill_gradients``).  The area factor is NOT folded
+    into the gradients; value kernels multiply it back explicitly."""
+    areas = mesh.areas[block]
+    g = np.empty((3, 2, areas.size))
+    elements.fill_gradients(g.reshape(6, areas.size), *_corner_coords(mesh, block), areas)
     return g
 
 
@@ -246,30 +256,38 @@ def batch_kg_mass(areas: np.ndarray) -> np.ndarray:
     return kg
 
 
-def batch_kg_mass_weighted(mesh: Mesh, weight: WeightField) -> np.ndarray:
-    """Value array, 9 x nme, of the weighted mass element matrices with
-    the weight sampled at the vertices (``fill_mass_weighted``)."""
-    kg = np.empty((9, mesh.nme))
-    tw, me = weight.sample(mesh), mesh.connectivity
-    elements.fill_mass_weighted(kg, mesh.areas, tw[me[:, 0]], tw[me[:, 1]], tw[me[:, 2]])
+def batch_kg_mass_weighted(
+    mesh: Mesh, weight: WeightField, block: slice = slice(None)
+) -> np.ndarray:
+    """Value array, 9 x b, of the weighted mass element matrices of the
+    triangles in ``block`` (all by default), with the weight sampled at the
+    vertices (``fill_mass_weighted``)."""
+    areas = mesh.areas[block]
+    kg = np.empty((9, areas.size))
+    tw, me = weight.sample(mesh), mesh.connectivity[block]
+    elements.fill_mass_weighted(kg, areas, tw[me[:, 0]], tw[me[:, 1]], tw[me[:, 2]])
     return kg
 
 
-def batch_kg_stiff(mesh: Mesh) -> np.ndarray:
-    """Value array, 9 x nme, of the stiffness element matrices
-    (``fill_stiff``)."""
-    kg = np.empty((9, mesh.nme))
-    elements.fill_stiff(kg, *_corner_coords(mesh), mesh.areas)
+def batch_kg_stiff(mesh: Mesh, block: slice = slice(None)) -> np.ndarray:
+    """Value array, 9 x b, of the stiffness element matrices of the
+    triangles in ``block`` (all by default; ``fill_stiff``)."""
+    areas = mesh.areas[block]
+    kg = np.empty((9, areas.size))
+    elements.fill_stiff(kg, *_corner_coords(mesh, block), areas)
     return kg
 
 
-def batch_kg_elastic(mesh: Mesh, params: ElasticParams) -> np.ndarray:
-    """Value array, 36 x nme, of the elastic element matrices
-    (``fill_elastic``).  Row r holds entry (r mod 6, r div 6) of the 6x6
-    element matrix."""
-    g = batch_gradients(mesh)
-    kg = np.empty((36, mesh.nme))
-    elements.fill_elastic(kg, g.reshape(6, mesh.nme), mesh.areas, params.lam, params.mu)
+def batch_kg_elastic(
+    mesh: Mesh, params: ElasticParams, block: slice = slice(None)
+) -> np.ndarray:
+    """Value array, 36 x b, of the elastic element matrices of the
+    triangles in ``block`` (all by default; ``fill_elastic``).  Row r holds
+    entry (r mod 6, r div 6) of the 6x6 element matrix."""
+    g = batch_gradients(mesh, block)
+    areas = mesh.areas[block]
+    kg = np.empty((36, areas.size))
+    elements.fill_elastic(kg, g.reshape(6, areas.size), areas, params.lam, params.mu)
     return kg
 
 
@@ -338,14 +356,19 @@ def _assemble_triplet_loop(mesh, kind, weight, params, budget_s):
 
 def _assemble_batched(mesh, kind, weight, params):
     if kind is MatrixKind.ELASTIC:
-        return mesh.vector_pattern.assemble(batch_kg_elastic(mesh, params).ravel(order="F"))
-    if kind is MatrixKind.MASS:
-        kg = batch_kg_mass(mesh.areas)
+        pattern, kernel = mesh.vector_pattern, lambda b: batch_kg_elastic(mesh, params, b)
+    elif kind is MatrixKind.MASS:
+        pattern, kernel = mesh.pattern, lambda b: batch_kg_mass(mesh.areas[b])
     elif kind is MatrixKind.WEIGHTED_MASS:
-        kg = batch_kg_mass_weighted(mesh, weight)
+        pattern, kernel = mesh.pattern, lambda b: batch_kg_mass_weighted(mesh, weight, b)
     else:
-        kg = batch_kg_stiff(mesh)
-    return mesh.pattern.assemble(kg.ravel(order="F"))
+        pattern, kernel = mesh.pattern, lambda b: batch_kg_stiff(mesh, b)
+    per_block = BLOCK_BYTES // (8 * (pattern.slot.size // mesh.nme))
+    # each (n^2, b) block is transposed to element-major while it is in cache
+    blocks = (
+        kernel(slice(k, k + per_block)).T.copy() for k in range(0, mesh.nme, per_block)
+    )
+    return pattern.assemble_blocks(blocks)
 
 
 def assemble(

@@ -9,10 +9,11 @@ is accumulated left-to-right in input order.
 
 ``Pattern`` splits that construction in two for index streams that repeat:
 the symbolic half (sort, slot of every triplet, ``col_ptr``/``row_idx``)
-runs once, and the numeric half, ``Pattern.assemble``, sums each new value
-stream into the slots with one ``bincount`` and drops exact-zero sums.  It
-returns the same matrix as ``csc_from_triplets`` on the same triplets, bit
-for bit.
+runs once, and the numeric half, ``Pattern.assemble_blocks``, adds each new
+value stream into the slots block by block with ``np.add.at`` and drops
+exact-zero sums, so a caller can compute the stream in pieces and never
+hold it whole.  It returns the same matrix as ``csc_from_triplets`` on the
+same triplets, bit for bit.
 
 ``CscBuilder`` is the deliberately naive path: it keeps a live CSC image
 with exact-fit storage, so every insertion of a *new* position rewrites
@@ -149,6 +150,12 @@ def _check_indices(idx: np.ndarray, bound: int, what: str) -> None:
         )
 
 
+def slot_dtype(nnz: int) -> type:
+    """Index type of a slot map into ``nnz`` stored entries: int32 while it
+    fits, for half the bytes; ``np.add.at`` takes it as it is."""
+    return np.int32 if nnz < 2**31 else np.int64
+
+
 def csc_from_triplets(rows, cols, vals, n_rows: int, n_cols: int) -> CscMatrix:
     """Build a CSC matrix from triplets, summing duplicate positions.
 
@@ -206,10 +213,11 @@ class Pattern:
 
     ``col_ptr`` and ``row_idx`` hold every position the stream reaches
     (the structural nonzeros, in canonical CSC order) and ``slot[p]`` is
-    the storage position of triplet p.  ``assemble`` is the numeric half:
-    it sums a value stream of the same layout into those slots.  All
-    arrays are int64 and read-only, so one pattern can serve any number
-    of value streams.
+    the storage position of triplet p.  ``assemble_blocks`` is the numeric
+    half: it sums a value stream of the same layout into those slots.
+    ``col_ptr`` and ``row_idx`` are int64, ``slot`` is int32 while nnz
+    < 2**31 (int64 beyond), and all three are read-only, so one pattern
+    can serve any number of value streams.
     """
 
     __slots__ = ("n_rows", "n_cols", "col_ptr", "row_idx", "slot")
@@ -217,8 +225,10 @@ class Pattern:
     def __init__(self, n_rows, n_cols, col_ptr, row_idx, slot):
         object.__setattr__(self, "n_rows", int(n_rows))
         object.__setattr__(self, "n_cols", int(n_cols))
+        col_ptr = np.ascontiguousarray(col_ptr, dtype=np.int64)
+        row_idx = np.ascontiguousarray(row_idx, dtype=np.int64)
+        slot = np.ascontiguousarray(slot, dtype=slot_dtype(row_idx.size))
         for name, arr in (("col_ptr", col_ptr), ("row_idx", row_idx), ("slot", slot)):
-            arr = np.ascontiguousarray(arr, dtype=np.int64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -244,9 +254,9 @@ class Pattern:
         code = code[order]
         head = np.ones(code.size, dtype=bool)
         np.not_equal(code[1:], code[:-1], out=head[1:])
-        slot = np.empty(code.size, dtype=np.int64)
-        slot[order] = np.cumsum(head) - 1
         code = code[head]
+        slot = np.empty(order.size, dtype=slot_dtype(code.size))
+        slot[order] = np.cumsum(head) - 1
         col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
         np.cumsum(np.bincount(code // n_rows, minlength=n_cols), out=col_ptr[1:])
         return cls(n_rows, n_cols, col_ptr, code % n_rows, slot)
@@ -257,29 +267,42 @@ class Pattern:
         return int(self.row_idx.size)
 
     def assemble(self, vals) -> CscMatrix:
-        """The matrix ``csc_from_triplets`` builds from this pattern's
-        index stream and ``vals``, bit for bit.
+        """``assemble_blocks`` on the whole value stream as one block."""
+        return self.assemble_blocks((vals,))
 
-        ``bincount`` adds each slot's values in stream order, the order
-        the stable sort pins; input zeros leave every nonzero sum as it
-        is, and sums that are exactly zero are dropped.  When none is,
-        the pattern's own arrays become the result's structure.
+    def assemble_blocks(self, blocks) -> CscMatrix:
+        """The matrix ``csc_from_triplets`` builds from this pattern's
+        index stream and the value stream that ``blocks`` yields in
+        consecutive pieces, bit for bit.
+
+        ``np.add.at`` adds one value at a time in stream order, starting
+        from 0.0 as ``bincount`` does, so each slot sums in the order the
+        stable sort pins; input zeros leave every nonzero sum as it is,
+        and sums that are exactly zero are dropped.  When none is, the
+        pattern's own arrays become the result's structure.
         """
-        vals = np.ascontiguousarray(vals, dtype=np.float64).ravel()
-        if vals.size != self.slot.size:
-            raise ValueError(f"expected {self.slot.size} values, got {vals.size}")
-        sums = np.bincount(self.slot, weights=vals, minlength=self.nnz)
-        keep = sums != 0.0
-        if keep.all():
+        sums = np.zeros(self.nnz)
+        start = 0
+        for vals in blocks:
+            vals = np.ascontiguousarray(vals, dtype=np.float64).ravel()
+            stop = start + vals.size
+            if stop > self.slot.size:
+                raise ValueError(f"expected {self.slot.size} values, got more")
+            np.add.at(sums, self.slot[start:stop], vals)
+            start = stop
+        if start != self.slot.size:
+            raise ValueError(f"expected {self.slot.size} values, got {start}")
+        dropped = np.flatnonzero(sums == 0.0)
+        if not dropped.size:
             return CscMatrix(
                 self.n_rows, self.n_cols, self.col_ptr, self.row_idx, sums, validate=False
             )
-        kept_before = np.zeros(self.nnz + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept_before[1:])
+        keep = sums != 0.0
         return CscMatrix(
             self.n_rows,
             self.n_cols,
-            kept_before[self.col_ptr],
+            # a column starts earlier by the dropped entries before it
+            self.col_ptr - np.searchsorted(dropped, self.col_ptr),
             self.row_idx[keep],
             sums[keep],
             validate=False,

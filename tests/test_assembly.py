@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -364,7 +366,13 @@ def assert_bit_identical(a, b):
 class TestPattern:
     @pytest.mark.parametrize("kind", list(MatrixKind))
     @pytest.mark.parametrize(
-        "make_mesh", [lambda: shuffled_square_mesh(12, seed=7001), lambda: generate_disk_mesh(5)]
+        "make_mesh",
+        [
+            lambda: shuffled_square_mesh(12, seed=7001),
+            lambda: generate_disk_mesh(5),
+            # 31,250 triangles: two scalar blocks and five elastic ones, the last short
+            lambda: shuffled_square_mesh(125, seed=7001),
+        ],
     )
     def test_optv2_is_triplet_reference_bit_for_bit(self, kind, make_mesh):
         mesh = make_mesh()
@@ -414,6 +422,25 @@ class TestPattern:
         assert a.vector_pattern is not b.vector_pattern
         with pytest.raises(AttributeError):
             a.pattern = b.pattern
+
+
+class TestNumericPhaseMemory:
+    def test_repeated_elastic_call_needs_no_whole_mesh_value_array(self):
+        mesh = generate_unit_square_mesh(125)
+        value_array = 36 * mesh.nme * 8  # bytes of one whole-mesh elastic value array
+        assert value_array >= 4 * femasm.assembly.BLOCK_BYTES
+        assemble(mesh, MatrixKind.ELASTIC, Strategy.OPTV2, params=PARAMS)  # builds the patterns
+        assert mesh.pattern.slot.dtype == np.int32
+        assert mesh.vector_pattern.slot.dtype == np.int32
+        tracemalloc.start()
+        try:
+            assemble(mesh, MatrixKind.ELASTIC, Strategy.OPTV2, params=PARAMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the sums and the result take about 1.2 value arrays here; a
+        # whole-stream numeric phase, with its element-major copy, took 2.5
+        assert peak < 1.8 * value_array
 
 
 def assert_strategies_bit_identical(mesh, kind):

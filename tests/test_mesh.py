@@ -1,7 +1,11 @@
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from femasm import (
     DegenerateTriangleError,
@@ -262,6 +266,47 @@ class TestMeshFileBytes:
         assert path.read_bytes() == reference_mesh_bytes(mesh)
         back = read_mesh(path)
         assert np.array_equal(back.vertices.view(np.int64), verts.view(np.int64))
+
+
+# any finite float, with subnormals and the ends of the range drawn often
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 2.5e-310, -0.0, 1e308, -1e308, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def meshes(draw):
+    """A mesh of random finite vertices and random valid connectivity: the
+    vertex triples whose area ``Mesh`` accepts, plus one triangle of unit
+    legs at a drawn place, so there is always one."""
+    nq = draw(st.integers(3, 12))
+    verts = np.array(draw(st.lists(st.tuples(FINITE, FINITE), min_size=nq, max_size=nq)))
+    anchor = draw(st.lists(st.integers(0, nq - 1), min_size=3, max_size=3, unique=True))
+    x, y = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
+    verts[anchor] = [(x, y), (x + 1.0, y), (x, y + 1.0)]
+    triples = st.lists(st.integers(0, nq - 1), min_size=3, max_size=3, unique=True)
+    conn = []
+    for triple in draw(st.lists(triples, max_size=20)):
+        try:
+            compute_areas(verts, np.array([triple]))
+        except InvalidMeshError:  # degenerate, or its area overflows
+            continue
+        conn.append(triple)
+    conn.insert(draw(st.integers(0, len(conn))), anchor)
+    return Mesh(verts, conn)
+
+
+class TestMeshFileFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mesh=meshes())
+    def test_round_trip_is_exact(self, mesh):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mesh.txt"
+            write_mesh(mesh, path)
+            back = read_mesh(path)
+        assert np.array_equal(back.vertices.view(np.int64), mesh.vertices.view(np.int64))
+        assert np.array_equal(back.connectivity, mesh.connectivity)
 
 
 class TestMeshFileErrors:

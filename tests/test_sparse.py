@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from femasm import (
     CscBuilder,
@@ -200,6 +203,31 @@ class TestDenseAndDiff:
             a.to_dense()
 
 
+@st.composite
+def triplet_streams(draw):
+    """(rows, cols, vals, n_rows, n_cols): a short triplet stream on a small
+    matrix, so positions repeat, with input 0.0 and -0.0, exact
+    cancellations, and int32 or int64 indices."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    length = draw(st.integers(0, 40))
+    rows = draw(st.lists(st.integers(0, m - 1), min_size=length, max_size=length))
+    cols = draw(st.lists(st.integers(0, n - 1), min_size=length, max_size=length))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.integers(-4, 4).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False),
+    )
+    vals = draw(st.lists(value, min_size=length, max_size=length))
+    # exact cancellations: minus a position's running sum, appended after it
+    for p in draw(st.lists(st.integers(0, length - 1), max_size=3)) if length else []:
+        total = sum(v for r, c, v in zip(rows, cols, vals) if (r, c) == (rows[p], cols[p]))
+        rows.append(rows[p])
+        cols.append(cols[p])
+        vals.append(-total)
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    return np.array(rows, dtype), np.array(cols, dtype), np.array(vals, np.float64), m, n
+
+
 class TestPattern:
     def assert_same(self, a: CscMatrix, b: CscMatrix):
         assert a.shape == b.shape
@@ -261,6 +289,47 @@ class TestPattern:
             Pattern.from_triplets([0, 1], [0], 2, 2)
         with pytest.raises(ValueError, match="expected 6 values"):
             Pattern.from_triplets(EX_I, EX_J, 3, 4).assemble([1.0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(stream=triplet_streams(), size=st.integers(1, 50))
+    def test_blocks_match_csc_from_triplets_bit_for_bit(self, stream, size):
+        rows, cols, vals, m, n = stream
+        expected = csc_from_triplets(rows, cols, vals, m, n)
+        p = Pattern.from_triplets(rows, cols, m, n)
+        assert p.slot.dtype == np.int32
+        # blocks of one value, of a drawn size (uneven or past the end), and one block
+        for b in (1, size, vals.size + 1):
+            blocks = (vals[k : k + b] for k in range(0, vals.size, b))
+            self.assert_same(p.assemble_blocks(blocks), expected)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(stream=triplet_streams())
+    def test_csc_from_triplets_matches_scipy(self, stream):
+        rows, cols, vals, m, n = stream
+        ours = csc_from_triplets(rows, cols, vals, m, n)
+        theirs = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsc()
+        theirs.sum_duplicates()
+        theirs.eliminate_zeros()  # scipy keeps input zeros and zero sums
+        if np.array_equal(vals, np.round(vals)):
+            # integer sums are exact in any order, so the two must agree entry for entry
+            assert np.array_equal(ours.col_ptr, theirs.indptr)
+            assert np.array_equal(ours.row_idx, theirs.indices)
+            assert np.array_equal(ours.values, theirs.data)
+        else:
+            # scipy sums duplicates in an order of its own: each position's
+            # sums may differ by the rounding of its terms
+            terms, scale = np.zeros((m, n)), np.zeros((m, n))
+            np.add.at(terms, (rows, cols), 1.0)
+            np.add.at(scale, (rows, cols), np.abs(vals))
+            diff = np.abs(ours.to_dense() - theirs.toarray())
+            assert np.all(diff <= terms * np.finfo(float).eps * scale)
+
+    def test_rejects_a_stream_of_the_wrong_length(self):
+        p = Pattern.from_triplets(EX_I, EX_J, 3, 4)
+        with pytest.raises(ValueError, match="expected 6 values, got more"):
+            p.assemble_blocks([EX_K[:4], EX_K[4:], [1.0]])
+        with pytest.raises(ValueError, match="expected 6 values, got 5"):
+            p.assemble_blocks([EX_K[:2], EX_K[2:5]])
 
 
 def reference_matrix_market_bytes(matrix: CscMatrix) -> bytes:
