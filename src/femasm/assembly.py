@@ -13,16 +13,16 @@ Strategies, slowest to fastest:
   batch kernels over blocks of triangles and summed into the mesh's
   sparsity pattern.
 
-OPTV2 splits the CSC construction in two.  The symbolic phase sorts the
-9 x nme index stream of ``build_ig_jg_p1`` once per mesh
-(``build_pattern_p1``, kept as ``Mesh.pattern`` and shared by the three
-scalar kinds); the elastic pattern is its 2x2 block expansion
-(``expand_pattern_p1_vector``), so no 36 x nme sort ever runs.  The
-numeric phase of each call runs the ``batch_kg_*`` kernel on one block of
-``BLOCK_BYTES`` worth of values at a time, in element-major order, and
-``Pattern.assemble_blocks`` adds each block into the slots, so no
-whole-mesh value array is ever built.  Its result equals
-``csc_from_triplets`` on the same triplets bit for bit.
+OPTV2 runs the two phases of that construction (``sparse.Pattern``)
+apart.  The symbolic phase sorts the 9 x nme index stream of
+``build_ig_jg_p1`` once per mesh (``build_pattern_p1``, kept as
+``Mesh.pattern`` and shared by the three scalar kinds); the elastic
+pattern is its 2x2 block expansion (``expand_pattern_p1_vector``), so no
+36 x nme sort ever runs.  The numeric phase of each call runs the
+``batch_kg_*`` kernel on one block of ``BLOCK_BYTES`` worth of values at
+a time, in element-major order, and ``Pattern.assemble_blocks`` adds
+each block into the slots, so no whole-mesh value array is ever built.
+Its result equals ``csc_from_triplets`` on the same triplets bit for bit.
 
 All strategies run the one formula per kind of ``elements`` and sum each
 entry in triangle order, so they give the same matrix bit for bit

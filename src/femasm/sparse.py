@@ -1,19 +1,15 @@
-"""Compressed-sparse-column matrices built two ways.
+"""Compressed-sparse-column matrices and the two ways to build them.
 
-``csc_from_triplets`` is the fast path: it collapses a (rows, cols, values)
-triplet stream into canonical CSC with Matlab ``sparse`` semantics (input
-zeros ignored, duplicates summed, positions whose sum is exactly zero
-dropped).  The summation order is pinned so results are reproducible
-bit-for-bit: entries are stably sorted by (column, row) and each position
-is accumulated left-to-right in input order.
-
-``Pattern`` splits that construction in two for index streams that repeat:
-the symbolic half (sort, slot of every triplet, ``col_ptr``/``row_idx``)
-runs once, and the numeric half, ``Pattern.assemble_blocks``, adds each new
-value stream into the slots block by block with ``np.add.at`` and drops
-exact-zero sums, so a caller can compute the stream in pieces and never
-hold it whole.  It returns the same matrix as ``csc_from_triplets`` on the
-same triplets, bit for bit.
+``Pattern`` is the sparse construction, with Matlab ``sparse`` semantics
+(input zeros ignored, duplicates summed, positions whose sum is exactly
+zero dropped).  Its symbolic phase, ``Pattern.from_triplets``, stably
+sorts an index stream by (column, row) and finds ``col_ptr``,
+``row_idx`` and the storage slot of every triplet, once per stream.  Its
+numeric phase, ``Pattern.assemble_blocks``, adds a value stream into the
+slots block by block with ``np.add.at``, so each position sums
+left-to-right in input order, bit for bit reproducibly, and a caller
+never has to hold the stream whole.  ``csc_from_triplets`` is its
+one-shot use: both phases on one triplet stream.
 
 ``CscBuilder`` is the deliberately naive path: it keeps a live CSC image
 with exact-fit storage, so every insertion of a *new* position rewrites
@@ -61,10 +57,10 @@ class CscMatrix:
         n_cols = int(n_cols)
         if n_rows < 1 or n_cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        col_ptr = np.ascontiguousarray(col_ptr, dtype=np.int64)
-        row_idx = np.ascontiguousarray(row_idx, dtype=np.int64)
         values = np.ascontiguousarray(values, dtype=np.float64)
         if validate:
+            col_ptr = _as_index_array(col_ptr, "col_ptr entry")
+            row_idx = _as_index_array(row_idx, "row index")
             if col_ptr.shape != (n_cols + 1,):
                 raise ValueError("col_ptr must have n_cols+1 entries")
             if col_ptr[0] != 0 or col_ptr[-1] != row_idx.size:
@@ -81,6 +77,8 @@ class CscMatrix:
                 inside[starts[starts < row_idx.size]] = False  # boundaries may step down
                 if (np.diff(row_idx) <= 0)[inside[1:]].any():
                     raise ValueError("row indices must increase within a column")
+        col_ptr = np.ascontiguousarray(col_ptr, dtype=np.int64)
+        row_idx = np.ascontiguousarray(row_idx, dtype=np.int64)
         for arr in (col_ptr, row_idx, values):
             arr.flags.writeable = False
         object.__setattr__(self, "n_rows", n_rows)
@@ -125,29 +123,33 @@ class CscMatrix:
         dense[rows, cols] = vals
         return dense
 
-    def drop_zeros(self) -> "CscMatrix":
-        """Copy without explicitly stored zeros."""
-        rows, cols, vals = self.triplets()
-        return csc_from_triplets(rows, cols, vals, self.n_rows, self.n_cols)
-
     def __repr__(self) -> str:
         return f"CscMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
-def _as_index_array(idx) -> np.ndarray:
-    idx = np.asarray(idx)
-    if idx.dtype.kind != "i":
-        idx = idx.astype(np.int64)
-    return np.ascontiguousarray(idx).ravel()
+def _as_index_array(idx, what: str) -> np.ndarray:
+    """``idx`` as a flat signed-integer array.  Values of any other type
+    must be integers in the int64 range, as Matlab-style float indices
+    are; the first one that is not raises ValueError."""
+    idx = np.ascontiguousarray(idx).ravel()
+    if idx.dtype.kind == "i":
+        return idx
+    if idx.dtype.kind != "u":
+        idx = idx.astype(np.float64)
+    with np.errstate(invalid="ignore"):  # NaN, inf and overflow fail the test below
+        out = idx.astype(np.int64)
+        bad = np.flatnonzero((out != idx) | (idx >= 2**63))
+    if bad.size:
+        pos = int(bad[0])
+        raise ValueError(f"{what} {idx[pos]} at position {pos} is not an int64 integer")
+    return out
 
 
 def _check_indices(idx: np.ndarray, bound: int, what: str) -> None:
-    bad = (idx < 0) | (idx >= bound)
-    if bad.any():
-        pos = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"{what} index {idx[pos]} at position {pos} out of range [0, {bound})"
-        )
+    bad = np.flatnonzero((idx < 0) | (idx >= bound))
+    if bad.size:
+        pos = int(bad[0])
+        raise ValueError(f"{what} index {idx[pos]} at position {pos} out of range [0, {bound})")
 
 
 def slot_dtype(nnz: int) -> type:
@@ -162,59 +164,20 @@ def csc_from_triplets(rows, cols, vals, n_rows: int, n_cols: int) -> CscMatrix:
     Entries whose value is exactly 0.0 are ignored, and positions whose
     accumulated sum is exactly 0.0 are not stored.  Per position the sum
     is taken left-to-right in input order, which makes the result a
-    deterministic function of the triplet stream.
+    deterministic function of the triplet stream.  This is ``Pattern``
+    used once: the symbolic phase of (rows, cols), then one value block.
     """
-    rows = _as_index_array(rows)
-    cols = _as_index_array(cols)
-    vals = np.ascontiguousarray(vals, dtype=np.float64).ravel()
-    if not (rows.size == cols.size == vals.size):
-        raise ValueError(
-            f"triplet arrays disagree in length: {rows.size}, {cols.size}, {vals.size}"
-        )
-    if n_rows < 1 or n_cols < 1:
-        raise ValueError("matrix dimensions must be positive")
-    _check_indices(rows, n_rows, "row")
-    _check_indices(cols, n_cols, "column")
-
-    keep = vals != 0.0
-    if not keep.all():
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-
-    code = np.multiply(cols, n_rows, dtype=np.int64)
-    code += rows
-    order = np.argsort(code, kind="stable")  # stable: ties stay in input order
-    code = code[order]
-    vals = vals[order]
-
-    if code.size:
-        head = np.empty(code.size, dtype=bool)
-        head[0] = True
-        np.not_equal(code[1:], code[:-1], out=head[1:])
-        group = np.cumsum(head) - 1
-        # bincount accumulates sequentially, preserving the pinned order
-        sums = np.bincount(group, weights=vals, minlength=int(group[-1]) + 1)
-        ucode = code[head]
-        nonzero = sums != 0.0
-        sums, ucode = sums[nonzero], ucode[nonzero]
-        out_rows = ucode % n_rows
-        out_cols = ucode // n_rows
-    else:
-        sums = np.empty(0, dtype=np.float64)
-        out_rows = np.empty(0, dtype=np.int64)
-        out_cols = np.empty(0, dtype=np.int64)
-
-    col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
-    np.cumsum(np.bincount(out_cols, minlength=n_cols), out=col_ptr[1:])
-    return CscMatrix(n_rows, n_cols, col_ptr, out_rows, sums, validate=False)
+    return Pattern.from_triplets(rows, cols, n_rows, n_cols).assemble_blocks((vals,))
 
 
 class Pattern:
-    """The symbolic half of ``csc_from_triplets`` for a fixed index stream.
+    """The sparsity pattern of a fixed index stream: the symbolic phase of
+    the sparse construction, with ``assemble_blocks`` as its numeric phase.
 
     ``col_ptr`` and ``row_idx`` hold every position the stream reaches
     (the structural nonzeros, in canonical CSC order) and ``slot[p]`` is
-    the storage position of triplet p.  ``assemble_blocks`` is the numeric
-    half: it sums a value stream of the same layout into those slots.
+    the storage position of triplet p.  ``assemble_blocks`` sums a value
+    stream of the same layout into those slots.
     ``col_ptr`` and ``row_idx`` are int64, ``slot`` is int32 while nnz
     < 2**31 (int64 beyond), and all three are read-only, so one pattern
     can serve any number of value streams.
@@ -237,28 +200,31 @@ class Pattern:
 
     @classmethod
     def from_triplets(cls, rows, cols, n_rows: int, n_cols: int) -> "Pattern":
-        """Pattern of the index stream (rows, cols), found by the same
-        stable sort as ``csc_from_triplets``."""
-        rows = _as_index_array(rows)
-        cols = _as_index_array(cols)
+        """Pattern of the index stream (rows, cols): a stable sort by
+        (column, row), so that the triplets of one position keep their
+        input order."""
+        rows = _as_index_array(rows, "row index")
+        cols = _as_index_array(cols, "column index")
         if rows.size != cols.size:
             raise ValueError(f"index arrays disagree in length: {rows.size}, {cols.size}")
         if n_rows < 1 or n_cols < 1:
             raise ValueError("matrix dimensions must be positive")
         _check_indices(rows, n_rows, "row")
         _check_indices(cols, n_cols, "column")
+        if not rows.size:  # head[0] below needs a first triplet
+            return cls(n_rows, n_cols, np.zeros(n_cols + 1), [], [])
 
         code = np.multiply(cols, n_rows, dtype=np.int64)
         code += rows
         order = np.argsort(code, kind="stable")
         code = code[order]
-        head = np.ones(code.size, dtype=bool)
+        head = np.empty(code.size, dtype=bool)
+        head[0] = True
         np.not_equal(code[1:], code[:-1], out=head[1:])
         code = code[head]
         slot = np.empty(order.size, dtype=slot_dtype(code.size))
         slot[order] = np.cumsum(head) - 1
-        col_ptr = np.zeros(n_cols + 1, dtype=np.int64)
-        np.cumsum(np.bincount(code // n_rows, minlength=n_cols), out=col_ptr[1:])
+        col_ptr = np.searchsorted(code, np.arange(n_cols + 1) * n_rows)  # j*n_rows opens column j
         return cls(n_rows, n_cols, col_ptr, code % n_rows, slot)
 
     @property
@@ -266,20 +232,15 @@ class Pattern:
         """Number of structural nonzeros."""
         return int(self.row_idx.size)
 
-    def assemble(self, vals) -> CscMatrix:
-        """``assemble_blocks`` on the whole value stream as one block."""
-        return self.assemble_blocks((vals,))
-
     def assemble_blocks(self, blocks) -> CscMatrix:
-        """The matrix ``csc_from_triplets`` builds from this pattern's
-        index stream and the value stream that ``blocks`` yields in
-        consecutive pieces, bit for bit.
+        """The matrix of this pattern's index stream and the value stream
+        that ``blocks`` yields in consecutive pieces.
 
         ``np.add.at`` adds one value at a time in stream order, starting
-        from 0.0 as ``bincount`` does, so each slot sums in the order the
-        stable sort pins; input zeros leave every nonzero sum as it is,
-        and sums that are exactly zero are dropped.  When none is, the
-        pattern's own arrays become the result's structure.
+        from 0.0, so each slot sums in the order the stable sort pins;
+        input zeros leave every nonzero sum as it is, and sums that are
+        exactly zero are dropped.  When none is, the pattern's own arrays
+        become the result's structure.
         """
         sums = np.zeros(self.nnz)
         start = 0
@@ -292,8 +253,7 @@ class Pattern:
             start = stop
         if start != self.slot.size:
             raise ValueError(f"expected {self.slot.size} values, got {start}")
-        dropped = np.flatnonzero(sums == 0.0)
-        if not dropped.size:
+        if np.count_nonzero(sums) == sums.size:  # no sum is exactly zero
             return CscMatrix(
                 self.n_rows, self.n_cols, self.col_ptr, self.row_idx, sums, validate=False
             )
@@ -302,7 +262,7 @@ class Pattern:
             self.n_rows,
             self.n_cols,
             # a column starts earlier by the dropped entries before it
-            self.col_ptr - np.searchsorted(dropped, self.col_ptr),
+            self.col_ptr - np.searchsorted(np.flatnonzero(~keep), self.col_ptr),
             self.row_idx[keep],
             sums[keep],
             validate=False,

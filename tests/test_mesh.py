@@ -430,3 +430,50 @@ class TestMeshFileErrors:
             assert exc.line_no == 5
             assert ("invalid coordinate" in str(exc)) == (not parsed)
             assert "no line is malformed" not in str(exc)
+
+
+def corrupt_line(draw, line: bytes, line_no: int, nq: int) -> bytes:
+    """``line`` of a mesh file made invalid by the grammar: a field dropped
+    or added, a non-numeric token, an index of 0 or nq+1, a non-ASCII
+    byte, or a blank line.  The header only gets a non-integer token,
+    because other counts move the error to another line."""
+    fields = line.split(b" ")
+    k = draw(st.integers(0, len(fields) - 1))
+    is_triangle = line_no > 1 + nq
+    tokens = [b"1_0", b"#", b"x"] + ([b"1.5"] if line_no == 1 or is_triangle else [])
+    if line_no == 1:
+        kind = "token"
+    else:
+        kinds = ["drop", "add", "token", "byte", "blank"] + (["index"] if is_triangle else [])
+        kind = draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del fields[k]
+    elif kind == "add":
+        fields.insert(k, fields[k])
+    elif kind == "token":
+        fields[k] = draw(st.sampled_from(tokens))
+    elif kind == "index":
+        fields[k] = str(draw(st.sampled_from([0, nq + 1]))).encode("ascii")
+    elif kind == "byte":
+        pos = draw(st.integers(0, len(line)))
+        return line[:pos] + draw(st.sampled_from([b"\xe9", b"\xff", b"\x80"])) + line[pos:]
+    else:
+        return draw(st.sampled_from([b"", b" ", b"\t "]))
+    return b" ".join(fields)
+
+
+class TestMeshFileErrorFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mesh=meshes(), data=st.data())
+    def test_error_names_the_corrupted_line(self, mesh, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mesh.txt"
+            write_mesh(mesh, path)
+            lines = path.read_bytes().split(b"\n")[:-1]
+            assert len(lines) == 1 + mesh.nq + mesh.nme
+            line_no = data.draw(st.integers(1, len(lines)), label="line_no")
+            lines[line_no - 1] = corrupt_line(data.draw, lines[line_no - 1], line_no, mesh.nq)
+            path.write_bytes(b"\n".join(lines) + b"\n")
+            with pytest.raises(MeshFormatError) as exc:
+                read_mesh(path)
+        assert exc.value.line_no == line_no

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -60,6 +62,44 @@ class TestFromTriplets:
         with pytest.raises(ValueError, match="column"):
             csc_from_triplets([0, 0], [0, -1], [1.0, 2.0], 3, 3)
 
+    @pytest.mark.parametrize(
+        "rows, shown",
+        [
+            ([0, 1.7], "1.7"),  # non-integral
+            ([0, np.nan], "nan"),
+            ([0, np.inf], "inf"),
+            ([0, -np.inf], "-inf"),
+            ([0, 2.0**63], "9.223372036854776e+18"),  # outside int64, as floats
+            (np.array([0, 2**63], np.uint64), "9223372036854775808"),
+            ([0, -(2**64)], "-1.8446744073709552e+19"),  # as Python ints
+        ],
+    )
+    def test_rejects_non_integer_index(self, rows, shown):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning before the error
+            with pytest.raises(ValueError) as exc:
+                csc_from_triplets(rows, [0, 0], [1.0, 2.0], 2, 1)
+        assert str(exc.value) == f"row index {shown} at position 1 is not an int64 integer"
+
+    def test_names_the_first_non_integer_index(self):
+        with pytest.raises(ValueError, match="row index 1.7 at position 0 "):
+            csc_from_triplets([1.7, 0.2], [0, 0.9], [1.0, 2.0], 2, 1)
+        with pytest.raises(ValueError, match="column index 0.9 at position 1 "):
+            csc_from_triplets([1.0, 0.0], [0, 0.9], [1.0, 2.0], 2, 1)
+        with pytest.raises(ValueError, match="column index nan at position 0 "):
+            Pattern.from_triplets([0], np.array([np.nan], np.float32), 2, 1)
+
+    def test_integral_float_indices(self):
+        # Matlab-style index arrays: floats that hold integers
+        cols = np.array([3, 0, 3], np.float32)
+        a = csc_from_triplets([2.0, 0.0, 2.0], cols, [1.0, 2.0, 3.0], 3, 4)
+        b = csc_from_triplets([2, 0, 2], [3, 0, 3], [1.0, 2.0, 3.0], 3, 4)
+        assert a.col_ptr.tolist() == b.col_ptr.tolist() == [0, 1, 1, 1, 2]
+        assert a.row_idx.tolist() == b.row_idx.tolist() == [0, 2]
+        assert a.values.tolist() == b.values.tolist() == [2.0, 4.0]
+        with pytest.raises(ValueError, match="-9223372036854775808 at position 0 out of range"):
+            csc_from_triplets([-(2.0**63)], [0], [1.0], 2, 1)
+
     def test_matches_dense_oracle_exactly(self):
         rng = np.random.default_rng(42)
         for _ in range(60):
@@ -72,6 +112,36 @@ class TestFromTriplets:
             k[rng.random(length) < 0.1] = 0.0
             a = csc_from_triplets(i, j, k, m, n)
             assert np.array_equal(a.to_dense(), dense_from_triplets(i, j, k, m, n))
+
+
+class TestCscMatrix:
+    def test_accepts_canonical_arrays(self):
+        a = CscMatrix(3, 4, [0, 1, 3, 4, 6], EX_I, EX_K)
+        assert np.array_equal(a.to_dense(), EX_DENSE)
+        assert a.col_ptr.dtype == a.row_idx.dtype == np.int64
+
+    def test_accepts_integral_floats(self):
+        a = CscMatrix(2, 1, [0.0, 1.0], np.array([1.0]), [3.0])
+        assert a.col_ptr.tolist() == [0, 1] and a.row_idx.tolist() == [1]
+        assert a.col_ptr.dtype == a.row_idx.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "col_ptr, row_idx, message",
+        [
+            ([0, 1.5], [0], "col_ptr entry 1.5 at position 1 is not an int64 integer"),
+            ([0, np.nan], [0], "col_ptr entry nan at position 1 is not an int64 integer"),
+            ([0, 1], [0.5], "row index 0.5 at position 0 is not an int64 integer"),
+            ([0, 1], [np.inf], "row index inf at position 0 is not an int64 integer"),
+            ([0, 1, 1], [0], "col_ptr must have n_cols"),
+            ([0, 2], [0], "col_ptr must start at 0 and end at nnz"),
+            ([0, 1], [2], "row index out of range"),
+        ],
+    )
+    def test_rejects_bad_arrays(self, col_ptr, row_idx, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                CscMatrix(2, 1, col_ptr, row_idx, [3.0] * len(row_idx))
 
 
 class TestGet:
@@ -107,7 +177,7 @@ class TestIncremental:
         assert b.nnz == 1 and b.get(0, 0) == 0.0
         m = b.to_matrix()
         assert m.nnz == 1 and m.values[0] == 0.0
-        assert m.drop_zeros().nnz == 0
+        assert csc_from_triplets(*m.triplets(), *m.shape).nnz == 0
 
     def test_repeated_adds_accumulate_in_place(self):
         b = CscBuilder(2, 2)
@@ -240,7 +310,7 @@ class TestPattern:
         assert p.col_ptr.tolist() == [0, 1, 3, 4, 6]
         assert p.row_idx.tolist() == [0, 1, 2, 2, 0, 1]
         assert p.slot.tolist() == [0, 1, 2, 3, 4, 5]
-        self.assert_same(p.assemble(EX_K), example_matrix())
+        self.assert_same(p.assemble_blocks((EX_K,)), example_matrix())
 
     def test_duplicates_share_a_slot_in_input_order(self):
         p = Pattern.from_triplets([1, 0, 1], [0, 0, 0], 2, 1)
@@ -262,13 +332,13 @@ class TestPattern:
                 k[dup] = 0.0
                 for d in dup:
                     k[d] = -k[(i == i[d]) & (j == j[d])].sum()
-                self.assert_same(p.assemble(k), csc_from_triplets(i, j, k, m, n))
+                self.assert_same(p.assemble_blocks((k,)), csc_from_triplets(i, j, k, m, n))
 
     def test_keeps_its_arrays_when_nothing_cancels(self):
         p = Pattern.from_triplets(EX_I, EX_J, 3, 4)
-        a = p.assemble(EX_K)
+        a = p.assemble_blocks((EX_K,))
         assert a.col_ptr is p.col_ptr and a.row_idx is p.row_idx
-        b = p.assemble([1.0, 5.0, 0.0, 2.0, 6.0, 4.0])
+        b = p.assemble_blocks(([1.0, 5.0, 0.0, 2.0, 6.0, 4.0],))
         assert b.nnz == 5 and b.col_ptr.tolist() == [0, 1, 2, 3, 5]
 
     def test_immutable(self):
@@ -280,7 +350,7 @@ class TestPattern:
 
     def test_empty_stream(self):
         p = Pattern.from_triplets([], [], 2, 2)
-        assert p.nnz == 0 and p.assemble([]).nnz == 0
+        assert p.nnz == 0 and p.assemble_blocks(([],)).nnz == 0
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="position 1"):
@@ -288,7 +358,7 @@ class TestPattern:
         with pytest.raises(ValueError, match="length"):
             Pattern.from_triplets([0, 1], [0], 2, 2)
         with pytest.raises(ValueError, match="expected 6 values"):
-            Pattern.from_triplets(EX_I, EX_J, 3, 4).assemble([1.0])
+            Pattern.from_triplets(EX_I, EX_J, 3, 4).assemble_blocks(([1.0],))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(stream=triplet_streams(), size=st.integers(1, 50))
@@ -323,6 +393,18 @@ class TestPattern:
             np.add.at(scale, (rows, cols), np.abs(vals))
             diff = np.abs(ours.to_dense() - theirs.toarray())
             assert np.all(diff <= terms * np.finfo(float).eps * scale)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(stream=triplet_streams())
+    def test_csc_from_triplets_matches_dense_oracle_bit_for_bit(self, stream):
+        # the oracle adds each position's values one at a time in input
+        # order; a different order rounds some of these float sums differently
+        rows, cols, vals, m, n = stream
+        a = csc_from_triplets(rows, cols, vals, m, n)
+        dense = dense_from_triplets(rows, cols, vals, m, n)
+        assert np.array_equal(a.to_dense().view(np.int64), dense.view(np.int64))
+        assert not (a.values == 0.0).any()
+        assert a.nnz == np.count_nonzero(dense)
 
     def test_rejects_a_stream_of_the_wrong_length(self):
         p = Pattern.from_triplets(EX_I, EX_J, 3, 4)
