@@ -27,7 +27,11 @@ Its result equals ``csc_from_triplets`` on the same triplets bit for bit.
 All strategies run the one formula per kind of ``elements`` and sum each
 entry in triangle order, so they give the same matrix bit for bit
 (CLASSICAL and OPTV0 keep exact zeros as entries); the point of keeping
-the slow ones around is the benchmark CLI.
+the slow ones around is the benchmark CLI.  What a kind needs is decided
+in one place, once per call: ``_kernels`` checks the coefficient, samples
+the weight, and returns both the element loops' per-triangle closure and
+OPTV2's per-block kernel.  The ``batch_kg_*`` kernels read the areas and
+coordinates of a ``Mesh`` as they are, since ``Mesh`` has checked them.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 
 from . import elements
 from .elements import ElasticParams, elem_mass, elem_mass_weighted, elem_stiff, elem_stiff_elastic
-from .mesh import AREA_EPS, DegenerateTriangleError, Mesh
+from .mesh import Mesh
 from .sparse import CscBuilder, CscMatrix, Pattern, csc_from_triplets, slot_dtype
 
 __all__ = [
@@ -243,28 +247,28 @@ def batch_gradients(mesh: Mesh, block: slice = slice(None)) -> np.ndarray:
     return g
 
 
-def batch_kg_mass(areas: np.ndarray) -> np.ndarray:
-    """Value array, 9 x nme, of the mass element matrices (``fill_mass``):
-    the diagonal rows {0, 4, 8} hold area/6, the six off-diagonal rows
-    area/12."""
-    areas = np.asarray(areas, dtype=np.float64)
-    bad = np.flatnonzero(~(areas > AREA_EPS))
-    if bad.size:
-        raise DegenerateTriangleError(bad[0], areas[bad[0]])
+def batch_kg_mass(mesh: Mesh, block: slice = slice(None)) -> np.ndarray:
+    """Value array, 9 x b, of the mass element matrices of the triangles
+    in ``block`` (all by default; ``fill_mass``): the diagonal rows
+    {0, 4, 8} hold area/6, the six off-diagonal rows area/12."""
+    areas = mesh.areas[block]
     kg = np.empty((9, areas.size))
     elements.fill_mass(kg, areas)
     return kg
 
 
 def batch_kg_mass_weighted(
-    mesh: Mesh, weight: WeightField, block: slice = slice(None)
+    mesh: Mesh, tw: np.ndarray, block: slice = slice(None)
 ) -> np.ndarray:
     """Value array, 9 x b, of the weighted mass element matrices of the
-    triangles in ``block`` (all by default), with the weight sampled at the
-    vertices (``fill_mass_weighted``)."""
+    triangles in ``block`` (all by default; ``fill_mass_weighted``), from
+    the (nq,) vertex weights ``tw`` that ``WeightField.sample`` returns."""
+    tw = np.asarray(tw)
+    if tw.shape != (mesh.nq,):
+        raise ValueError(f"vertex weights must have shape ({mesh.nq},), got {tw.shape}")
     areas = mesh.areas[block]
     kg = np.empty((9, areas.size))
-    tw, me = weight.sample(mesh), mesh.connectivity[block]
+    me = mesh.connectivity[block]
     elements.fill_mass_weighted(kg, areas, tw[me[:, 0]], tw[me[:, 1]], tw[me[:, 2]])
     return kg
 
@@ -291,21 +295,26 @@ def batch_kg_elastic(
     return kg
 
 
-def _element_matrix_factory(mesh: Mesh, kind: MatrixKind, weight, params):
-    """Per-triangle element matrix closure for the element-loop strategies.
-    Each call reads its own triangle's inputs, so no whole-mesh Python
-    list is ever built."""
-    areas = mesh.areas
-    me = mesh.connectivity
-    q = mesh.vertices
+def _kernels(mesh: Mesh, kind: MatrixKind, weight, params):
+    """What ``kind`` needs on ``mesh``, decided once per call: the
+    per-triangle element matrix closure of the element loops and the
+    per-block value kernel of OPTV2.  The weight is sampled here, once."""
+    areas, me, q = mesh.areas, mesh.connectivity, mesh.vertices
     if kind is MatrixKind.MASS:
-        return lambda k: elem_mass(areas[k])
+        return lambda k: elem_mass(areas[k]), lambda b: batch_kg_mass(mesh, b)
     if kind is MatrixKind.WEIGHTED_MASS:
+        if weight is None:
+            raise ValueError("WEIGHTED_MASS requires a WeightField")
         tw = weight.sample(mesh)
-        return lambda k: elem_mass_weighted(areas[k], *tw[me[k]].tolist())
+        return (lambda k: elem_mass_weighted(areas[k], *tw[me[k]].tolist()),
+                lambda b: batch_kg_mass_weighted(mesh, tw, b))
     if kind is MatrixKind.STIFFNESS:
-        return lambda k: elem_stiff(*q[me[k]].tolist(), areas[k])
-    return lambda k: elem_stiff_elastic(*q[me[k]].tolist(), areas[k], params)
+        return (lambda k: elem_stiff(*q[me[k]].tolist(), areas[k]),
+                lambda b: batch_kg_stiff(mesh, b))
+    if params is None:
+        raise ValueError("ELASTIC requires ElasticParams")
+    return (lambda k: elem_stiff_elastic(*q[me[k]].tolist(), areas[k], params),
+            lambda b: batch_kg_elastic(mesh, params, b))
 
 
 def _triangles(n_elements: int, seconds: Optional[float]):
@@ -320,8 +329,7 @@ def _triangles(n_elements: int, seconds: Optional[float]):
         yield k
 
 
-def _assemble_incremental(mesh, kind, weight, params, block_wise, budget_s):
-    elem = _element_matrix_factory(mesh, kind, weight, params)
+def _assemble_incremental(mesh, kind, elem, block_wise, budget_s):
     dofs = element_dofs(mesh.connectivity, kind.is_vector)
     n = kind.n_dof(mesh.nq)
     builder = CscBuilder(n, n)
@@ -337,8 +345,7 @@ def _assemble_incremental(mesh, kind, weight, params, block_wise, budget_s):
     return builder.to_matrix()
 
 
-def _assemble_triplet_loop(mesh, kind, weight, params, budget_s):
-    elem = _element_matrix_factory(mesh, kind, weight, params)
+def _assemble_triplet_loop(mesh, kind, elem, budget_s):
     dofs = element_dofs(mesh.connectivity, kind.is_vector)
     rows, cols = elements.local_map(dofs.shape[1])
     n = kind.n_dof(mesh.nq)
@@ -354,15 +361,8 @@ def _assemble_triplet_loop(mesh, kind, weight, params, budget_s):
     return csc_from_triplets(ig, jg, kg, n, n)
 
 
-def _assemble_batched(mesh, kind, weight, params):
-    if kind is MatrixKind.ELASTIC:
-        pattern, kernel = mesh.vector_pattern, lambda b: batch_kg_elastic(mesh, params, b)
-    elif kind is MatrixKind.MASS:
-        pattern, kernel = mesh.pattern, lambda b: batch_kg_mass(mesh.areas[b])
-    elif kind is MatrixKind.WEIGHTED_MASS:
-        pattern, kernel = mesh.pattern, lambda b: batch_kg_mass_weighted(mesh, weight, b)
-    else:
-        pattern, kernel = mesh.pattern, lambda b: batch_kg_stiff(mesh, b)
+def _assemble_batched(mesh, kind, kernel):
+    pattern = mesh.vector_pattern if kind.is_vector else mesh.pattern
     per_block = BLOCK_BYTES // (8 * (pattern.slot.size // mesh.nme))
     # each (n^2, b) block is transposed to element-major while it is in cache
     blocks = (
@@ -391,17 +391,11 @@ def assemble(
     The result is n x n with n = nq (scalar kinds) or 2*nq (elastic);
     the four strategies give the same values bit for bit.
     """
-    if kind is MatrixKind.WEIGHTED_MASS:
-        if weight is None:
-            raise ValueError("WEIGHTED_MASS requires a WeightField")
-    elif kind is MatrixKind.ELASTIC:
-        if params is None:
-            raise ValueError("ELASTIC requires ElasticParams")
-
+    elem, kernel = _kernels(mesh, kind, weight, params)
     if strategy is Strategy.CLASSICAL:
-        return _assemble_incremental(mesh, kind, weight, params, False, budget_s)
+        return _assemble_incremental(mesh, kind, elem, False, budget_s)
     if strategy is Strategy.OPTV0:
-        return _assemble_incremental(mesh, kind, weight, params, True, budget_s)
+        return _assemble_incremental(mesh, kind, elem, True, budget_s)
     if strategy is Strategy.OPTV1:
-        return _assemble_triplet_loop(mesh, kind, weight, params, budget_s)
-    return _assemble_batched(mesh, kind, weight, params)
+        return _assemble_triplet_loop(mesh, kind, elem, budget_s)
+    return _assemble_batched(mesh, kind, kernel)

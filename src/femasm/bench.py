@@ -65,7 +65,7 @@ class BenchRecord:
     wall_time_seconds: float  # median of repetitions; lower bound when skipped
     repetitions: int
     status: str = STATUS_OK
-    speedup: Optional[float] = None  # reference strategy time / this time
+    speedup: Optional[float] = None  # optv2 time / this time
     # how far the aborted run of a skipped cell got; None when none was aborted
     elements_done: Optional[int] = None
     elements_total: Optional[int] = None
@@ -117,7 +117,7 @@ def _time_cell(
     cell = _cell_fields(mesh, kind, strategy)
     times: list[float] = []
     for rep in range(repetitions + 1):  # rep 0 is the warm-up
-        fresh = Mesh(mesh.vertices, mesh.connectivity, mesh.areas)
+        fresh = Mesh(mesh.vertices, mesh.connectivity)
         t0 = time.perf_counter()
         try:
             assemble(fresh, kind, strategy, budget_s=time_budget_s, **kwargs)
@@ -160,7 +160,6 @@ def run_bench(
     *,
     time_budget_s: float = 60.0,
     long_run_s: float = 10.0,
-    reference: Strategy = Strategy.OPTV2,
     verbose: bool = False,
 ) -> list[BenchRecord]:
     """Time every (kind, strategy, size) cell and optionally write a CSV.
@@ -205,7 +204,7 @@ def run_bench(
                         f"{rec.wall_time_seconds:10.3f}s  [{rec.status}]"
                     )
 
-    records = _attach_speedups(records, reference)
+    records = _attach_speedups(records)
     if output_path is not None:
         write_records_csv(
             records, output_path, default_metadata(time_budget_s, repetitions)
@@ -213,11 +212,11 @@ def run_bench(
     return records
 
 
-def _attach_speedups(records: list[BenchRecord], reference: Strategy) -> list[BenchRecord]:
+def _attach_speedups(records: list[BenchRecord]) -> list[BenchRecord]:
     ref_time = {
         (r.kind, r.nq): r.wall_time_seconds
         for r in records
-        if r.strategy == reference.value and r.ok
+        if r.strategy == Strategy.OPTV2.value and r.ok
     }
     out = []
     for r in records:

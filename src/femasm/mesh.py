@@ -99,7 +99,7 @@ class Mesh:
     ----------
     vertices : (nq, 2) float64, read-only
     connectivity : (nme, 3) int64, 0-based vertex indices, read-only
-    areas : (nme,) float64, read-only
+    areas : (nme,) float64, read-only, from ``compute_areas``
     pattern, vector_pattern : Pattern
         Sparsity patterns of the scalar and the elastic P1 matrices, built
         on first use and kept for the life of the mesh.  Two threads that
@@ -108,7 +108,7 @@ class Mesh:
 
     __slots__ = ("vertices", "connectivity", "areas", "_pattern", "_vector_pattern")
 
-    def __init__(self, vertices, connectivity, areas=None):
+    def __init__(self, vertices, connectivity):
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         connectivity = np.ascontiguousarray(connectivity, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -136,16 +136,7 @@ class Mesh:
         if bad.size:
             raise InvalidMeshError("triangle with repeated vertex indices", triangle=bad[0])
 
-        exact = compute_areas(vertices, connectivity)
-        if areas is None:
-            areas = exact
-        else:
-            areas = np.ascontiguousarray(areas, dtype=np.float64)
-            if areas.shape != (connectivity.shape[0],):
-                raise ValueError("areas length must equal the triangle count")
-            if not np.all(np.abs(areas - exact) <= 1e-12 * np.abs(exact)):
-                raise ValueError("stored areas disagree with vertex coordinates")
-
+        areas = compute_areas(vertices, connectivity)
         for arr in (vertices, connectivity, areas):
             arr.flags.writeable = False
         object.__setattr__(self, "vertices", vertices)
@@ -191,7 +182,6 @@ class Mesh:
             and self.connectivity.shape == other.connectivity.shape
             and bool(np.all(self.vertices == other.vertices))
             and bool(np.all(self.connectivity == other.connectivity))
-            and bool(np.all(self.areas == other.areas))
         )
 
     def __repr__(self) -> str:

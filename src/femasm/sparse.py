@@ -167,7 +167,13 @@ def csc_from_triplets(rows, cols, vals, n_rows: int, n_cols: int) -> CscMatrix:
     deterministic function of the triplet stream.  This is ``Pattern``
     used once: the symbolic phase of (rows, cols), then one value block.
     """
-    return Pattern.from_triplets(rows, cols, n_rows, n_cols).assemble_blocks((vals,))
+    pattern = Pattern.from_triplets(rows, cols, n_rows, n_cols)
+    vals = np.asarray(vals)
+    if vals.size != pattern.slot.size:
+        raise ValueError(
+            f"triplet arrays disagree in length: {pattern.slot.size} indices, {vals.size} values"
+        )
+    return pattern.assemble_blocks((vals,))
 
 
 class Pattern:

@@ -5,6 +5,7 @@ everything else is fast.  Run with ``pytest tests/test_acceptance.py -v -s``
 to watch the progress lines.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -51,28 +52,35 @@ def test_criterion_1_csc_worked_example():
     j = [0, 1, 1, 2, 3, 3]
     k = [1.0, 5.0, 1.0, 2.0, 6.0, 4.0]
 
-    t0 = time.perf_counter()
-    a = csc_from_triplets(i, j, k, 3, 4)
-    build_time = time.perf_counter() - t0
+    # the gate is on the median of 5 calls, each timed alone, so that it
+    # times the construction and not the first use of numpy functions
+    build_times, insert_times = [], []
+    for call in range(5):
+        t0 = time.perf_counter()
+        a = csc_from_triplets(i, j, k, 3, 4)
+        build_times.append(time.perf_counter() - t0)
 
-    assert a.values.tolist() == [1.0, 5.0, 1.0, 2.0, 6.0, 4.0]
-    assert a.row_idx.tolist() == [0, 1, 2, 2, 0, 1]
-    assert a.col_ptr.tolist() == [0, 1, 3, 4, 6]
+        t0 = time.perf_counter()
+        b = CscBuilder(3, 4)
+        for ii, jj, vv in zip(i, j, k):
+            b.add(ii, jj, vv)
+        b.add(0, 1, 8.0)
+        insert_times.append(time.perf_counter() - t0)
+        if call == 0:
+            assert a.values.tolist() == [1.0, 5.0, 1.0, 2.0, 6.0, 4.0]
+            assert a.row_idx.tolist() == [0, 1, 2, 2, 0, 1]
+            assert a.col_ptr.tolist() == [0, 1, 3, 4, 6]
+            m = b.to_matrix()
+            assert m.values.tolist() == [1.0, 8.0, 5.0, 1.0, 2.0, 6.0, 4.0]
+            assert m.row_idx.tolist() == [0, 0, 1, 2, 2, 0, 1]
+            assert m.col_ptr.tolist() == [0, 1, 4, 5, 7]
 
-    t0 = time.perf_counter()
-    b = CscBuilder(3, 4)
-    for ii, jj, vv in zip(i, j, k):
-        b.add(ii, jj, vv)
-    b.add(0, 1, 8.0)
-    insert_time = time.perf_counter() - t0
-    m = b.to_matrix()
-    assert m.values.tolist() == [1.0, 8.0, 5.0, 1.0, 2.0, 6.0, 4.0]
-    assert m.row_idx.tolist() == [0, 0, 1, 2, 2, 0, 1]
-    assert m.col_ptr.tolist() == [0, 1, 4, 5, 7]
-
+    build_time = statistics.median(build_times)
+    insert_time = statistics.median(insert_times)
     assert build_time < 1e-3 and insert_time < 1e-3
-    _report(1, f"worked example exact (build {build_time*1e6:.0f}us, "
-               f"insertions {insert_time*1e6:.0f}us)")
+    _report(1, f"worked example exact (median of 5: build {build_time*1e6:.0f}us, "
+               f"insertions {insert_time*1e6:.0f}us; first call {build_times[0]*1e6:.0f}us "
+               f"and {insert_times[0]*1e6:.0f}us)")
 
 
 def _equivalence_meshes():

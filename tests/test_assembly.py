@@ -20,7 +20,6 @@ from femasm import (
     batch_kg_stiff,
     build_ig_jg_p1,
     build_ig_jg_p1_vector,
-    compute_areas,
     csc_from_triplets,
     generate_disk_mesh,
     generate_unit_square_mesh,
@@ -49,7 +48,7 @@ def jittered_square_mesh(n: int, seed: int = 0) -> Mesh:
     )
     verts[interior] += rng.uniform(-0.2 / n, 0.2 / n, size=(interior.sum(), 2))
     conn = base.connectivity
-    return Mesh(verts, conn, compute_areas(verts, conn))
+    return Mesh(verts, conn)
 
 
 class TestIndexBatches:
@@ -123,29 +122,35 @@ class TestGradients:
 
 class TestValueBatches:
     def test_mass_single_column(self):
-        kg = batch_kg_mass(np.array([0.5]))
+        kg = batch_kg_mass(unit_triangle_mesh())  # area 0.5
         expect = [1 / 12, 1 / 24, 1 / 24, 1 / 24, 1 / 12, 1 / 24, 1 / 24, 1 / 24, 1 / 12]
         assert np.abs(kg[:, 0] - expect).max() <= 1e-16
 
     def test_mass_column_sums_equal_areas(self):
         areas = np.random.default_rng(0).uniform(0.1, 3.0, 40)
-        kg = batch_kg_mass(areas)
+        # 40 separate right triangles with legs 2*area and 1
+        verts = np.zeros((120, 2))
+        verts[1::3, 0], verts[2::3, 1] = 2.0 * areas, 1.0
+        mesh = Mesh(verts, np.arange(120).reshape(40, 3))
+        assert np.array_equal(mesh.areas, areas)
+        kg = batch_kg_mass(mesh)
         assert np.abs(kg.sum(axis=0) - areas).max() <= 1e-14 * areas.max()
 
     def test_mass_diagonal_rows(self):
-        kg = batch_kg_mass(np.array([6.0, 12.0]))
+        verts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0], [6.0, 0.0]])
+        kg = batch_kg_mass(Mesh(verts, np.array([[0, 1, 2], [0, 3, 2]])))  # areas 6, 12
         assert kg[[0, 4, 8], 0].tolist() == [1.0, 1.0, 1.0]
         assert kg[[0, 4, 8], 1].tolist() == [2.0, 2.0, 2.0]
 
     def test_weighted_unit_weight_equals_mass(self):
         mesh = generate_unit_square_mesh(3)
-        kg_w = batch_kg_mass_weighted(mesh, WeightField.one())
-        kg = batch_kg_mass(mesh.areas)
+        kg_w = batch_kg_mass_weighted(mesh, WeightField.one().sample(mesh))
+        kg = batch_kg_mass(mesh)
         assert np.abs(kg_w - kg).max() <= 1e-15 * kg.max()
 
     def test_weighted_zero_weight(self):
         mesh = generate_unit_square_mesh(2)
-        kg = batch_kg_mass_weighted(mesh, WeightField("zero", lambda x, y: 0.0 * x))
+        kg = batch_kg_mass_weighted(mesh, WeightField("zero", lambda x, y: 0.0 * x).sample(mesh))
         assert not kg.any()
         m = assemble(mesh, MatrixKind.WEIGHTED_MASS, Strategy.OPTV2,
                      weight=WeightField("zero", lambda x, y: 0.0 * x))
@@ -158,7 +163,7 @@ class TestValueBatches:
             assemble(mesh, MatrixKind.WEIGHTED_MASS, Strategy.OPTV2, weight=all_nan)
         corner = WeightField("corner", lambda x, y: np.where(x + y == 2.0, np.inf, 1.0))
         with pytest.raises(ValueError, match="not finite at vertex 8"):
-            batch_kg_mass_weighted(mesh, corner)
+            assemble(mesh, MatrixKind.WEIGHTED_MASS, Strategy.CLASSICAL, weight=corner)
 
     def test_weighted_single_triangle_column(self):
         verts = np.array([[0.0, 0.0], [30.0, 0.0], [0.0, 2.0]])  # area 30
@@ -167,9 +172,17 @@ class TestValueBatches:
         field = WeightField(
             "samples", lambda x, y: np.where(x > 0, 2.0, np.where(y > 0, 3.0, 1.0))
         )
-        kg = batch_kg_mass_weighted(mesh, field)
+        kg = batch_kg_mass_weighted(mesh, field.sample(mesh))
         expect = [8.0, 4.5, 5.0, 4.5, 10.0, 5.5, 5.0, 5.5, 12.0]
         assert np.abs(kg[:, 0] - expect).max() <= 1e-13
+
+    def test_weighted_refuses_misshapen_weights(self):
+        mesh = generate_unit_square_mesh(2)  # nq = 9
+        for tw in (np.ones(8), np.ones(10), np.ones((9, 1)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=r"vertex weights must have shape \(9,\)"):
+                batch_kg_mass_weighted(mesh, tw)
+        with pytest.raises(ValueError, match=r"got \(\)"):  # a field, not its samples
+            batch_kg_mass_weighted(mesh, WeightField.one())
 
     def test_stiff_unit_triangle_column(self):
         kg = batch_kg_stiff(unit_triangle_mesh())
@@ -203,8 +216,8 @@ class TestValueBatches:
         weight = WeightField.quadratic()
         tw = weight.sample(mesh)
         cases = [
-            (batch_kg_mass(areas), lambda k, p: elem_mass(areas[k])),
-            (batch_kg_mass_weighted(mesh, weight),
+            (batch_kg_mass(mesh), lambda k, p: elem_mass(areas[k])),
+            (batch_kg_mass_weighted(mesh, tw),
              lambda k, p: elem_mass_weighted(areas[k], *tw[me[k]])),
             (batch_kg_stiff(mesh), lambda k, p: elem_stiff(*p, areas[k])),
             (batch_kg_elastic(mesh, PARAMS), lambda k, p: elem_stiff_elastic(*p, areas[k], PARAMS)),
@@ -334,9 +347,9 @@ def triplet_reference(mesh: Mesh, kind: MatrixKind, **kwargs):
     else:
         ig, jg = build_ig_jg_p1(mesh.connectivity)
         if kind is MatrixKind.MASS:
-            kg = batch_kg_mass(mesh.areas)
+            kg = batch_kg_mass(mesh)
         elif kind is MatrixKind.WEIGHTED_MASS:
-            kg = batch_kg_mass_weighted(mesh, kwargs["weight"])
+            kg = batch_kg_mass_weighted(mesh, kwargs["weight"].sample(mesh))
         else:
             kg = batch_kg_stiff(mesh)
     n = kind.n_dof(mesh.nq)
@@ -414,9 +427,23 @@ class TestPattern:
         assert built == ["build_pattern_p1", "expand_pattern_p1_vector"]
         assert mesh.vector_pattern.nnz == 4 * mesh.pattern.nnz
 
+    def test_optv2_samples_the_weight_once_per_call(self):
+        mesh = generate_unit_square_mesh(125)
+        assert mesh.nme > femasm.assembly.BLOCK_BYTES // (8 * 9)  # two scalar blocks
+        sampled = []
+
+        def evaluate(x, y):
+            sampled.append(x.size)
+            return 1.0 + x * x + y * y
+
+        weight = WeightField("counted", evaluate)
+        for calls in (1, 2):  # building the pattern, then reusing it
+            assemble(mesh, MatrixKind.WEIGHTED_MASS, Strategy.OPTV2, weight=weight)
+            assert sampled == [mesh.nq] * calls
+
     def test_equal_meshes_do_not_share(self):
         a = generate_unit_square_mesh(3)
-        b = Mesh(a.vertices, a.connectivity, a.areas)
+        b = Mesh(a.vertices, a.connectivity)
         assert a == b
         assert a.pattern is not b.pattern
         assert a.vector_pattern is not b.vector_pattern

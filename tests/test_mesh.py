@@ -106,11 +106,6 @@ class TestMeshValidation:
         with pytest.raises(ValueError, match="repeated"):
             Mesh(verts, np.array([[0, 1, 1]]))
 
-    def test_inconsistent_areas_rejected(self):
-        verts = np.array([[0.0, 0], [1, 0], [0, 1]])
-        with pytest.raises(ValueError, match="areas"):
-            Mesh(verts, np.array([[0, 1, 2]]), areas=np.array([0.75]))
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinate_names_vertex(self, bad):
         # a NaN area passes the degeneracy test, so this needs its own check

@@ -56,6 +56,16 @@ class TestFromTriplets:
         with pytest.raises(ValueError, match="length"):
             csc_from_triplets([0, 1], [0], [1.0, 2.0], 2, 2)
 
+    @pytest.mark.parametrize(
+        "vals, shown",
+        [([1.0, 2.0, 3.0], "2 indices, 3 values"), ([1.0], "2 indices, 1 values"),
+         ([], "2 indices, 0 values")],
+    )
+    def test_value_length_mismatch_names_both_lengths(self, vals, shown):
+        with pytest.raises(ValueError) as exc:
+            csc_from_triplets([0, 1], [0, 0], vals, 2, 1)
+        assert str(exc.value) == f"triplet arrays disagree in length: {shown}"
+
     def test_out_of_range_reports_position(self):
         with pytest.raises(ValueError, match="position 1"):
             csc_from_triplets([0, 5], [0, 0], [1.0, 2.0], 3, 3)
