@@ -46,7 +46,7 @@ import numpy as np
 from . import elements
 from .elements import ElasticParams, elem_mass, elem_mass_weighted, elem_stiff, elem_stiff_elastic
 from .mesh import Mesh
-from .sparse import CscBuilder, CscMatrix, Pattern, csc_from_triplets, slot_dtype
+from .sparse import CscBuilder, CscMatrix, Pattern, _as_index_array, csc_from_triplets, slot_dtype
 
 __all__ = [
     "AssemblyBudgetExceeded",
@@ -164,7 +164,7 @@ def element_dofs(connectivity: np.ndarray, vector: bool) -> np.ndarray:
     """Global degrees of freedom of every triangle, (nme, 3) for the
     scalar kinds and (nme, 6) for the vector-valued one, whose local
     ordering interleaves (2*i1, 2*i1+1, 2*i2, 2*i2+1, 2*i3, 2*i3+1)."""
-    dofs = np.asarray(connectivity)
+    dofs = _as_index_array(connectivity, "vertex index")
     if vector:
         dofs = (2 * dofs[:, :, None] + (0, 1)).reshape(dofs.shape[0], 6)
     return dofs.astype(np.int32 if dofs.max() < 2**31 else np.int64)

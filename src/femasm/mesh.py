@@ -15,7 +15,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .sparse import Pattern, write_lines
+from .sparse import Pattern, _as_index_array, _check_indices, write_lines
 
 __all__ = [
     "AREA_EPS",
@@ -69,12 +69,14 @@ class MeshFormatError(ValueError):
 def compute_areas(vertices: np.ndarray, connectivity: np.ndarray) -> np.ndarray:
     """Triangle areas, 0.5*|cross(q2-q1, q3-q1)| per triangle.
 
-    Raises DegenerateTriangleError (with the triangle index) if any area
+    Raises ValueError if a connectivity entry is not an integer or not a
+    vertex, DegenerateTriangleError (with the triangle index) if any area
     is at or below AREA_EPS, and InvalidMeshError (with the triangle
     index) if any area is not finite, as when it overflows.
     """
     vertices = np.asarray(vertices, dtype=np.float64)
-    connectivity = np.asarray(connectivity, dtype=np.int64)
+    connectivity = _as_index_array(connectivity, "vertex index")
+    _check_indices(connectivity.ravel(), len(vertices), "vertex")
     p1 = vertices[connectivity[:, 0]]
     p2 = vertices[connectivity[:, 1]]
     p3 = vertices[connectivity[:, 2]]
@@ -110,7 +112,7 @@ class Mesh:
 
     def __init__(self, vertices, connectivity):
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-        connectivity = np.ascontiguousarray(connectivity, dtype=np.int64)
+        connectivity = _as_index_array(connectivity, "vertex index").astype(np.int64, copy=False)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise ValueError(f"vertices must have shape (nq, 2), got {vertices.shape}")
         if connectivity.ndim != 2 or connectivity.shape[1] != 3:
@@ -125,9 +127,6 @@ class Mesh:
             raise InvalidMeshError(
                 f"vertex {bad[0]} has a non-finite coordinate ({x:g}, {y:g})", vertex=bad[0]
             )
-        nq = vertices.shape[0]
-        if connectivity.min() < 0 or connectivity.max() >= nq:
-            raise ValueError("connectivity index out of range [0, nq)")
         bad = np.flatnonzero(
             (connectivity[:, 0] == connectivity[:, 1])
             | (connectivity[:, 1] == connectivity[:, 2])
@@ -136,7 +135,7 @@ class Mesh:
         if bad.size:
             raise InvalidMeshError("triangle with repeated vertex indices", triangle=bad[0])
 
-        areas = compute_areas(vertices, connectivity)
+        areas = compute_areas(vertices, connectivity)  # also refuses indices out of range
         for arr in (vertices, connectivity, areas):
             arr.flags.writeable = False
         object.__setattr__(self, "vertices", vertices)

@@ -2,14 +2,15 @@
 
 ``Pattern`` is the sparse construction, with Matlab ``sparse`` semantics
 (input zeros ignored, duplicates summed, positions whose sum is exactly
-zero dropped).  Its symbolic phase, ``Pattern.from_triplets``, stably
-sorts an index stream by (column, row) and finds ``col_ptr``,
-``row_idx`` and the storage slot of every triplet, once per stream.  Its
-numeric phase, ``Pattern.assemble_blocks``, adds a value stream into the
-slots block by block with ``np.add.at``, so each position sums
-left-to-right in input order, bit for bit reproducibly, and a caller
-never has to hold the stream whole.  ``csc_from_triplets`` is its
-one-shot use: both phases on one triplet stream.
+zero dropped).  Its symbolic phase, ``Pattern.from_triplets``, sorts an
+index stream by (column, row) and finds ``col_ptr``, ``row_idx`` and the
+storage slot of every triplet, once per stream.  Its numeric phase,
+``Pattern.assemble_blocks``, adds a value stream into the slots block by
+block with ``np.add.at``, which adds in stream order, so each position
+sums left-to-right in input order, bit for bit reproducibly, and a
+caller never has to hold the stream whole.  ``csc_from_triplets`` is its
+one-shot use, on a stream's nonzero triplets.  Index arrays convert only
+by ``_as_index_array``, scalar indices and sizes by ``operator.index``.
 
 ``CscBuilder`` is the deliberately naive path: it keeps a live CSC image
 with exact-fit storage, so every insertion of a *new* position rewrites
@@ -53,14 +54,13 @@ class CscMatrix:
     __slots__ = ("n_rows", "n_cols", "col_ptr", "row_idx", "values")
 
     def __init__(self, n_rows, n_cols, col_ptr, row_idx, values, validate=True):
-        n_rows = int(n_rows)
-        n_cols = int(n_cols)
+        n_rows, n_cols = index(n_rows), index(n_cols)
         if n_rows < 1 or n_cols < 1:
             raise ValueError("matrix dimensions must be positive")
         values = np.ascontiguousarray(values, dtype=np.float64)
         if validate:
-            col_ptr = _as_index_array(col_ptr, "col_ptr entry")
-            row_idx = _as_index_array(row_idx, "row index")
+            col_ptr = _as_index_array(col_ptr, "col_ptr entry").ravel()
+            row_idx = _as_index_array(row_idx, "row index").ravel()
             if col_ptr.shape != (n_cols + 1,):
                 raise ValueError("col_ptr must have n_cols+1 entries")
             if col_ptr[0] != 0 or col_ptr[-1] != row_idx.size:
@@ -69,14 +69,10 @@ class CscMatrix:
                 raise ValueError("col_ptr must be nondecreasing")
             if row_idx.shape != values.shape:
                 raise ValueError("row_idx and values must have equal length")
-            if row_idx.size:
-                if row_idx.min() < 0 or row_idx.max() >= n_rows:
-                    raise ValueError("row index out of range")
-                inside = np.ones(row_idx.size, dtype=bool)
-                starts = col_ptr[1:-1]
-                inside[starts[starts < row_idx.size]] = False  # boundaries may step down
-                if (np.diff(row_idx) <= 0)[inside[1:]].any():
-                    raise ValueError("row indices must increase within a column")
+            _check_indices(row_idx, n_rows, "row")
+            cols = np.repeat(np.arange(n_cols), np.diff(col_ptr))
+            if ((np.diff(row_idx) <= 0) & (np.diff(cols) == 0)).any():
+                raise ValueError("row indices must increase within a column")
         col_ptr = np.ascontiguousarray(col_ptr, dtype=np.int64)
         row_idx = np.ascontiguousarray(row_idx, dtype=np.int64)
         for arr in (col_ptr, row_idx, values):
@@ -100,6 +96,7 @@ class CscMatrix:
 
     def get(self, i: int, j: int) -> float:
         """Stored value at (i, j), or 0.0 when the position is absent."""
+        i, j = index(i), index(j)
         if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
             raise ValueError(f"index ({i}, {j}) out of range for {self.shape}")
         lo, hi = int(self.col_ptr[j]), int(self.col_ptr[j + 1])
@@ -128,10 +125,10 @@ class CscMatrix:
 
 
 def _as_index_array(idx, what: str) -> np.ndarray:
-    """``idx`` as a flat signed-integer array.  Values of any other type
-    must be integers in the int64 range, as Matlab-style float indices
-    are; the first one that is not raises ValueError."""
-    idx = np.ascontiguousarray(idx).ravel()
+    """``idx`` as a signed-integer array of its own shape.  Values of any
+    other type must be integers in the int64 range, as Matlab-style float
+    indices are; the first one that is not raises ValueError."""
+    idx = np.ascontiguousarray(idx)
     if idx.dtype.kind == "i":
         return idx
     if idx.dtype.kind != "u":
@@ -141,7 +138,7 @@ def _as_index_array(idx, what: str) -> np.ndarray:
         bad = np.flatnonzero((out != idx) | (idx >= 2**63))
     if bad.size:
         pos = int(bad[0])
-        raise ValueError(f"{what} {idx[pos]} at position {pos} is not an int64 integer")
+        raise ValueError(f"{what} {idx.flat[pos]} at position {pos} is not an int64 integer")
     return out
 
 
@@ -158,22 +155,42 @@ def slot_dtype(nnz: int) -> type:
     return np.int32 if nnz < 2**31 else np.int64
 
 
+def _index_stream(rows, cols, n_rows, n_cols):
+    """(rows, cols, n_rows, n_cols) of a triplet stream, converted and checked."""
+    rows = _as_index_array(rows, "row index").ravel()
+    cols = _as_index_array(cols, "column index").ravel()
+    n_rows, n_cols = index(n_rows), index(n_cols)
+    if rows.size != cols.size:
+        raise ValueError(f"index arrays disagree in length: {rows.size}, {cols.size}")
+    if n_rows < 1 or n_cols < 1:
+        raise ValueError("matrix dimensions must be positive")
+    _check_indices(rows, n_rows, "row")
+    _check_indices(cols, n_cols, "column")
+    return rows, cols, n_rows, n_cols
+
+
 def csc_from_triplets(rows, cols, vals, n_rows: int, n_cols: int) -> CscMatrix:
     """Build a CSC matrix from triplets, summing duplicate positions.
 
-    Entries whose value is exactly 0.0 are ignored, and positions whose
-    accumulated sum is exactly 0.0 are not stored.  Per position the sum
-    is taken left-to-right in input order, which makes the result a
-    deterministic function of the triplet stream.  This is ``Pattern``
-    used once: the symbolic phase of (rows, cols), then one value block.
+    Entries whose value is exactly zero (0.0 or -0.0) are ignored, and
+    positions whose accumulated sum is exactly 0.0 are not stored.  Per
+    position the sum is taken left-to-right in input order, which makes
+    the result a deterministic function of the triplet stream.  This is
+    ``Pattern`` used once: the symbolic phase of the stream's nonzero
+    triplets, then one value block.
     """
-    pattern = Pattern.from_triplets(rows, cols, n_rows, n_cols)
-    vals = np.asarray(vals)
-    if vals.size != pattern.slot.size:
+    rows, cols, n_rows, n_cols = _index_stream(rows, cols, n_rows, n_cols)  # a zero's too
+    vals = np.asarray(vals, dtype=np.float64).ravel()
+    if vals.size != rows.size:
         raise ValueError(
-            f"triplet arrays disagree in length: {pattern.slot.size} indices, {vals.size} values"
+            f"triplet arrays disagree in length: {rows.size} indices, {vals.size} values"
         )
-    return pattern.assemble_blocks((vals,))
+    # a sum starts at 0.0 and is never -0.0, so adding a zero changes no
+    # sum, and a position that gets only zeros is dropped either way
+    if np.count_nonzero(vals) < vals.size:
+        nonzero = vals != 0.0
+        rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+    return Pattern.from_triplets(rows, cols, n_rows, n_cols).assemble_blocks((vals,))
 
 
 class Pattern:
@@ -183,7 +200,7 @@ class Pattern:
     ``col_ptr`` and ``row_idx`` hold every position the stream reaches
     (the structural nonzeros, in canonical CSC order) and ``slot[p]`` is
     the storage position of triplet p.  ``assemble_blocks`` sums a value
-    stream of the same layout into those slots.
+    stream of the same layout into those slots, in stream order.
     ``col_ptr`` and ``row_idx`` are int64, ``slot`` is int32 while nnz
     < 2**31 (int64 beyond), and all three are read-only, so one pattern
     can serve any number of value streams.
@@ -192,8 +209,8 @@ class Pattern:
     __slots__ = ("n_rows", "n_cols", "col_ptr", "row_idx", "slot")
 
     def __init__(self, n_rows, n_cols, col_ptr, row_idx, slot):
-        object.__setattr__(self, "n_rows", int(n_rows))
-        object.__setattr__(self, "n_cols", int(n_cols))
+        object.__setattr__(self, "n_rows", index(n_rows))
+        object.__setattr__(self, "n_cols", index(n_cols))
         col_ptr = np.ascontiguousarray(col_ptr, dtype=np.int64)
         row_idx = np.ascontiguousarray(row_idx, dtype=np.int64)
         slot = np.ascontiguousarray(slot, dtype=slot_dtype(row_idx.size))
@@ -206,17 +223,10 @@ class Pattern:
 
     @classmethod
     def from_triplets(cls, rows, cols, n_rows: int, n_cols: int) -> "Pattern":
-        """Pattern of the index stream (rows, cols): a stable sort by
-        (column, row), so that the triplets of one position keep their
-        input order."""
-        rows = _as_index_array(rows, "row index")
-        cols = _as_index_array(cols, "column index")
-        if rows.size != cols.size:
-            raise ValueError(f"index arrays disagree in length: {rows.size}, {cols.size}")
-        if n_rows < 1 or n_cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        _check_indices(rows, n_rows, "row")
-        _check_indices(cols, n_cols, "column")
+        """Pattern of the index stream (rows, cols), from a sort by (column,
+        row).  Slots depend only on the sorted distinct positions, not on
+        the sort's stability; ``assemble_blocks`` sets the summation order."""
+        rows, cols, n_rows, n_cols = _index_stream(rows, cols, n_rows, n_cols)
         if not rows.size:  # head[0] below needs a first triplet
             return cls(n_rows, n_cols, np.zeros(n_cols + 1), [], [])
 
@@ -243,7 +253,7 @@ class Pattern:
         that ``blocks`` yields in consecutive pieces.
 
         ``np.add.at`` adds one value at a time in stream order, starting
-        from 0.0, so each slot sums in the order the stable sort pins;
+        from 0.0, so each slot sums its triplets in their input order;
         input zeros leave every nonzero sum as it is, and sums that are
         exactly zero are dropped.  When none is, the pattern's own arrays
         become the result's structure.
@@ -310,13 +320,12 @@ class CscBuilder:
     __slots__ = ("n_rows", "n_cols", "_aa", "_ia", "_ja")
 
     def __init__(self, n_rows: int, n_cols: int):
-        if n_rows < 1 or n_cols < 1:
+        self.n_rows, self.n_cols = index(n_rows), index(n_cols)
+        if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols)
         self._aa = np.empty(0, dtype=np.float64)  # values, column-major
         self._ia = np.empty(0, dtype=np.int64)  # row indices, column-major
-        self._ja = np.zeros(n_cols + 1, dtype=np.int64)  # column offsets
+        self._ja = np.zeros(self.n_cols + 1, dtype=np.int64)  # column offsets
 
     @property
     def nnz(self) -> int:
@@ -361,15 +370,6 @@ class CscBuilder:
         for b, j in enumerate(col_ids):
             for a, i in enumerate(row_ids):
                 self.add(i, j, block[a, b])
-
-    def get(self, i: int, j: int) -> float:
-        if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
-            raise ValueError(f"index ({i}, {j}) out of range for ({self.n_rows}, {self.n_cols})")
-        lo, hi = self._ja[j], self._ja[j + 1]
-        pos = lo + np.searchsorted(self._ia[lo:hi], i)
-        if pos < hi and self._ia[pos] == i:
-            return float(self._aa[pos])
-        return 0.0
 
     def to_matrix(self) -> CscMatrix:
         """Snapshot as an immutable CscMatrix.  Explicit zeros are kept."""

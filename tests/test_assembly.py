@@ -10,6 +10,7 @@ from femasm import (
     ElasticParams,
     MatrixKind,
     Mesh,
+    Pattern,
     Strategy,
     WeightField,
     assemble,
@@ -77,6 +78,13 @@ class TestIndexBatches:
         dofs = [0, 1, 2, 3, 4, 5]
         assert ig[:, 0].tolist() == dofs * 6
         assert jg[:, 0].tolist() == [d for d in dofs for _ in range(6)]
+
+    @pytest.mark.parametrize("build", [build_ig_jg_p1, build_ig_jg_p1_vector])
+    def test_refuses_non_integer_index(self, build):
+        with pytest.raises(ValueError, match="vertex index 1.7 at position 1 "):
+            build(np.array([[0, 1.7, 2]]))
+        ig, jg = build(np.array([[5.0, 7.0, 9.0]]))
+        assert np.array_equal(ig, build(np.array([[5, 7, 9]]))[0])
 
     def test_vector_shape_and_pattern(self):
         conn = generate_unit_square_mesh(2).connectivity
@@ -449,6 +457,37 @@ class TestPattern:
         assert a.vector_pattern is not b.vector_pattern
         with pytest.raises(AttributeError):
             a.pattern = b.pattern
+
+
+class TestSymbolicPhase:
+    """The gate for any new way of building the mesh patterns: they must be
+    the patterns of the index streams optv2's values follow."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        shape=st.sampled_from(["shuffled-square", "disk", "jittered-square"]),
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mesh_patterns_are_the_triplet_patterns(self, shape, n, seed):
+        if shape == "shuffled-square":
+            mesh = shuffled_square_mesh(n, seed)
+        elif shape == "disk":
+            mesh = generate_disk_mesh(n + 1)
+        else:
+            mesh = jittered_square_mesh(n, seed)
+        for pattern, build in (
+            (mesh.pattern, build_ig_jg_p1),
+            (mesh.vector_pattern, build_ig_jg_p1_vector),
+        ):
+            ig, jg = build(mesh.connectivity)
+            expected = Pattern.from_triplets(
+                ig.ravel(order="F"), jg.ravel(order="F"), pattern.n_rows, pattern.n_cols
+            )
+            assert np.array_equal(pattern.col_ptr, expected.col_ptr)
+            assert np.array_equal(pattern.row_idx, expected.row_idx)
+            assert np.array_equal(pattern.slot, expected.slot)
+            assert pattern.slot.dtype == expected.slot.dtype
 
 
 class TestNumericPhaseMemory:

@@ -96,10 +96,35 @@ class TestComputeAreas:
                 assert abs(permuted - base) <= 1e-12 * base
 
 
+UNIT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
 class TestMeshValidation:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Mesh(np.zeros((3, 2)) + [[0, 0]], np.array([[0, 1, 3]]))
+
+    @pytest.mark.parametrize("build", [Mesh, compute_areas])
+    def test_refuses_non_integer_index(self, build):
+        # a cast would read 1.7 as vertex 1 and accept triangle (0, 1, 2)
+        with pytest.raises(ValueError) as exc:
+            build(UNIT_TRIANGLE, [[0, 1.7, 2]])
+        assert str(exc.value) == "vertex index 1.7 at position 1 is not an int64 integer"
+        conn = np.array([[0, 1, 2], [2, 1, np.nan]])
+        with pytest.raises(ValueError, match="vertex index nan at position 5 "):
+            build(UNIT_TRIANGLE, conn)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_compute_areas_refuses_index_out_of_range(self, bad):
+        # numpy indexing would read -1 as the last vertex
+        with pytest.raises(ValueError, match=f"vertex index {bad} at position 2 out of range"):
+            compute_areas(UNIT_TRIANGLE, [[0, 1, bad]])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int32, np.uint8])
+    def test_integral_index_types_accepted(self, dtype):
+        mesh = Mesh(UNIT_TRIANGLE, np.array([[0, 1, 2]], dtype))
+        assert mesh.connectivity.dtype == np.int64
+        assert mesh.connectivity.tolist() == [[0, 1, 2]] and mesh.areas.tolist() == [0.5]
 
     def test_repeated_vertex(self):
         verts = np.array([[0.0, 0], [1, 0], [0, 1]])

@@ -110,6 +110,42 @@ class TestFromTriplets:
         with pytest.raises(ValueError, match="-9223372036854775808 at position 0 out of range"):
             csc_from_triplets([-(2.0**63)], [0], [1.0], 2, 1)
 
+    def test_zeros_never_reach_the_sort(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        length = 3000
+        i = rng.integers(0, 40, length)
+        j = rng.integers(0, 30, length)
+        k = np.round(rng.standard_normal(length) * 8) / 8
+        k[rng.random(length) < 0.8] = 0.0
+        k[rng.random(length) < 0.1] = -0.0
+        reference = Pattern.from_triplets(i, j, 40, 30).assemble_blocks((k,))
+        sorted_streams = []
+        original = Pattern.from_triplets
+
+        def spy(rows, cols, n_rows, n_cols):
+            sorted_streams.append((rows, cols))
+            return original(rows, cols, n_rows, n_cols)
+
+        monkeypatch.setattr(Pattern, "from_triplets", spy)
+        a = csc_from_triplets(i, j, k, 40, 30)
+        ((rows, cols),) = sorted_streams
+        assert np.array_equal(rows, i[k != 0.0]) and np.array_equal(cols, j[k != 0.0])
+        assert rows.size < 0.3 * length
+        dense = dense_from_triplets(i, j, k, 40, 30)
+        assert np.array_equal(a.to_dense().view(np.int64), dense.view(np.int64))
+        assert np.array_equal(a.col_ptr, reference.col_ptr)
+        assert np.array_equal(a.row_idx, reference.row_idx)
+        assert np.array_equal(a.values.view(np.int64), reference.values.view(np.int64))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_bad_index_of_a_zero_still_raises(self, zero):
+        with pytest.raises(ValueError, match="row index 5 at position 1 out of range"):
+            csc_from_triplets([0, 5], [0, 0], [1.0, zero], 3, 3)
+        with pytest.raises(ValueError, match="column index 1.5 at position 0 "):
+            csc_from_triplets([0, 1], [1.5, 0], [zero, 1.0], 3, 3)
+        with pytest.raises(ValueError, match="length"):
+            csc_from_triplets([0, 1], [0], [zero, zero], 3, 3)
+
     def test_matches_dense_oracle_exactly(self):
         rng = np.random.default_rng(42)
         for _ in range(60):
@@ -144,7 +180,7 @@ class TestCscMatrix:
             ([0, 1], [np.inf], "row index inf at position 0 is not an int64 integer"),
             ([0, 1, 1], [0], "col_ptr must have n_cols"),
             ([0, 2], [0], "col_ptr must start at 0 and end at nnz"),
-            ([0, 1], [2], "row index out of range"),
+            ([0, 1], [2], "row index 2 at position 0 out of range"),
         ],
     )
     def test_rejects_bad_arrays(self, col_ptr, row_idx, message):
@@ -169,6 +205,35 @@ class TestGet:
         with pytest.raises(ValueError):
             example_matrix().get(3, 0)
 
+    def test_numpy_integer_indices(self):
+        assert example_matrix().get(np.int64(0), np.int32(3)) == 6.0
+
+    @pytest.mark.parametrize("i, j", [(0.9, 0), (0, 3.0), (np.float64(0.0), 0)])
+    def test_refuses_non_integer_index(self, i, j):
+        # 0.9 would otherwise find row 0 of column 0, which stores 1.0
+        with pytest.raises(TypeError):
+            example_matrix().get(i, j)
+
+
+class TestSizes:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: CscMatrix(n, 1, [0, 0], [], []),
+            lambda n: CscMatrix(1, n, [0, 0, 0], [], [], validate=False),
+            lambda n: CscBuilder(n, 2),
+            lambda n: CscBuilder(2, n),
+            lambda n: Pattern.from_triplets([0], [0], n, 2),
+            lambda n: csc_from_triplets([0], [0], [1.0], 2, n),
+        ],
+    )
+    def test_refuses_non_integer_sizes(self, build):
+        for bad in (2.5, 2.0, np.float64(2.0)):
+            with pytest.raises(TypeError):
+                build(bad)
+        made = build(np.int64(2))
+        assert type(made.n_rows) is int and type(made.n_cols) is int
+
 
 class TestIncremental:
     def test_worked_example_insertion(self):
@@ -184,7 +249,7 @@ class TestIncremental:
     def test_explicit_zero_is_stored(self):
         b = CscBuilder(2, 2)
         b.add(0, 0, 0.0)
-        assert b.nnz == 1 and b.get(0, 0) == 0.0
+        assert b.nnz == 1 and b.to_matrix().get(0, 0) == 0.0
         m = b.to_matrix()
         assert m.nnz == 1 and m.values[0] == 0.0
         assert csc_from_triplets(*m.triplets(), *m.shape).nnz == 0
@@ -193,7 +258,7 @@ class TestIncremental:
         b = CscBuilder(2, 2)
         b.add(1, 1, 1.0)
         b.add(1, 1, 2.0)
-        assert b.nnz == 1 and b.get(1, 1) == 3.0
+        assert b.nnz == 1 and b.to_matrix().get(1, 1) == 3.0
 
     def test_out_of_range(self):
         b = CscBuilder(2, 2)
