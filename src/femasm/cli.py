@@ -102,15 +102,23 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_assemble(args) -> int:
-    mesh = read_mesh(args.mesh)
+def _cmd_assemble(args, parser) -> int:
+    # faults in the user's input end the run as argparse ends a bad option:
+    # one line on stderr and exit status 2, no traceback
     kwargs = {}
-    if args.kind is MatrixKind.WEIGHTED_MASS:
-        kwargs["weight"] = WeightField.by_name(args.weight)
-    elif args.kind is MatrixKind.ELASTIC:
-        kwargs["params"] = ElasticParams(args.lam, args.mu)
+    try:
+        if args.kind is MatrixKind.WEIGHTED_MASS:
+            kwargs["weight"] = WeightField.by_name(args.weight)
+        elif args.kind is MatrixKind.ELASTIC:
+            kwargs["params"] = ElasticParams(args.lam, args.mu)
+        mesh = read_mesh(args.mesh)
+    except (ValueError, OSError) as exc:  # MeshFormatError is a ValueError
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     matrix = assemble(mesh, args.kind, args.strategy, **kwargs)
-    write_matrix_market(matrix, args.out)
+    try:
+        write_matrix_market(matrix, args.out)
+    except OSError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     print(f"wrote {args.out}: {matrix.shape[0]}x{matrix.shape[1]}, nnz={matrix.nnz}")
     return 0
 
@@ -131,9 +139,11 @@ def _cmd_slopes(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {"bench": _cmd_bench, "assemble": _cmd_assemble, "slopes": _cmd_slopes}
-    return handlers[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "assemble":
+        return _cmd_assemble(args, parser)
+    return {"bench": _cmd_bench, "slopes": _cmd_slopes}[args.command](args)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from itertools import islice
-from typing import NoReturn
 
 import numpy as np
 
@@ -272,12 +271,12 @@ def read_mesh(path) -> Mesh:
     """Read the text format written by write_mesh.
 
     Fields are separated by spaces or tabs, and lines end in ``\\n`` or
-    ``\\r\\n``; there are no comment lines.  The vertex and triangle blocks
-    are parsed by numpy's C reader as the file streams past, whose grammar
-    is that of Python's ``float`` and ``int`` without digit separators.
-    Raises MeshFormatError with a line number on any malformed content,
-    and on a mesh that ``Mesh`` rejects, at the line of the offending
-    vertex or triangle.
+    ``\\r\\n``; there are no comment lines.  One parser, numpy's C reader,
+    reads the header, vertex and triangle lines as the file streams past;
+    its grammar is that of Python's ``float`` and ``int`` without digit
+    separators.  Raises MeshFormatError with a line number on any
+    malformed content, and on a mesh that ``Mesh`` rejects, at the line of
+    the offending vertex or triangle.
     """
     # a non-ASCII byte becomes a lone surrogate, which no field parses, so
     # it fails at its line like any other bad character
@@ -285,20 +284,21 @@ def read_mesh(path) -> Mesh:
         header = f.readline()
         if not header.strip():
             raise MeshFormatError(path, 1, "empty file, expected 'nq nme' header")
-        nq, nme = _parse_ints(path, header, 1, 2, "header")
+        nq, nme = _parse_block(path, [header], 1, 1, "header", 1)[0].tolist()
         if nq < 1 or nme < 1:
             raise MeshFormatError(path, 1, f"counts must be positive, got nq={nq} nme={nme}")
-        vertices = _load_block(islice(f, nq), np.float64, (nq, 2))
-        connectivity = _load_block(islice(f, nme), np.int64, (nme, 3))
+        promised = 1 + nq + nme
+        vertices = _parse_block(path, islice(f, nq), 2, nq, "vertex", promised)
+        connectivity = _parse_block(path, islice(f, nme), 2 + nq, nme, "triangle", promised)
         rest = f.read()
-    if (
-        vertices is None
-        or connectivity is None
-        or connectivity.min() < 1
-        or connectivity.max() > nq
-        or rest.strip()
-    ):
-        _raise_at_first_bad_line(path, nq, nme)
+    if connectivity.min() < 1 or connectivity.max() > nq:
+        row, col = np.argwhere((connectivity < 1) | (connectivity > nq))[0]
+        raise MeshFormatError(
+            path, 2 + nq + row, f"vertex index {connectivity[row, col]} out of range 1..{nq}"
+        )
+    if rest.strip():
+        extra = next(k for k, line in enumerate(rest.split("\n")) if line.strip())
+        raise MeshFormatError(path, promised + 1 + extra, "unexpected content after last triangle")
     connectivity -= 1
 
     try:
@@ -313,71 +313,56 @@ def read_mesh(path) -> Mesh:
         raise MeshFormatError(path, line_no, f"invalid mesh: {exc}") from exc
 
 
+# per kind of line: the numpy type of its fields, their number, and how an
+# error names them and a field that does not parse
+_LINES = {
+    "header": (np.int64, 2, "fields for header", "invalid integer in header"),
+    "vertex": (np.float64, 2, "coordinates", "invalid coordinate"),
+    "triangle": (np.int64, 3, "fields for triangle", "invalid integer in triangle"),
+}
+
+
+def _parse_block(path, lines, first: int, count: int, kind: str, promised: int) -> np.ndarray:
+    """The ``count`` lines of ``kind`` from line ``first`` of the file as a
+    (count, width) array.  If numpy's parser refuses them, raises
+    MeshFormatError at the first line it refuses, found by halving: the
+    parser reads each line on its own, so lines are refused exactly when
+    one of them is."""
+    dtype, width, fields, invalid = _LINES[kind]
+    block = _load_block(lines, dtype, (count, width))
+    if block is not None:
+        return block
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
+        # the blank line stands for the end of the file, which refuses a short block
+        lines = list(islice(islice(f, first - 1, None), count)) + [""]
+    lo, hi = 0, len(lines)  # lines[:lo] are accepted, and lines[lo:hi] hold a refused one
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _load_block(lines[lo:mid], dtype, (mid - lo, width)) is None:
+            hi = mid
+        else:
+            lo = mid
+    if lo == len(lines) - 1:
+        raise MeshFormatError(
+            path, first + lo, f"file ends early: header promises {promised} lines"
+        )
+    got = len(lines[lo].split())
+    raise MeshFormatError(
+        path, first + lo, invalid if got == width else f"expected {width} {fields}, got {got}"
+    )
+
+
 def _load_block(lines, dtype, shape: tuple[int, int]):
     """The lines parsed as an array of ``shape``, or None when numpy's
     parser rejects them or finds another shape (it skips blank lines, so
     they show as missing rows)."""
     try:
         with warnings.catch_warnings():
-            # These warnings mean a bad block, for the scan to locate: an
-            # all-blank one, and, in numpy releases that only deprecate it,
-            # an integer read through a float ("1.0").
+            # refused too: an all-blank block and, in numpy releases that
+            # only deprecate it, an integer read through a float ("1.0")
             warnings.filterwarnings("error", "loadtxt: input contained no data")
             warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
             block = np.loadtxt(lines, dtype=dtype, ndmin=2, comments=None)
     except (ValueError, Warning):
         return None
     return block if block.shape == shape else None
-
-
-def _field(convert, text: str):
-    """``convert(text)``, refusing the digit separators (``1_000``) that
-    Python accepts and numpy's parser does not."""
-    if "_" in text:
-        raise ValueError(text)
-    return convert(text)
-
-
-def _parse_ints(path, line: str, line_no: int, expected: int, what: str) -> list[int]:
-    parts = line.split()
-    if len(parts) != expected:
-        raise MeshFormatError(
-            path, line_no, f"expected {expected} fields for {what}, got {len(parts)}"
-        )
-    try:
-        return [_field(int, p) for p in parts]
-    except ValueError:
-        raise MeshFormatError(path, line_no, f"invalid integer in {what}") from None
-
-
-def _raise_at_first_bad_line(path, nq: int, nme: int) -> NoReturn:
-    """Re-read a file whose blocks failed to parse and raise MeshFormatError
-    at its first bad line.  Only raises: a mesh always comes from the
-    parsed arrays."""
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
-        lines = list(f)
-    if len(lines) < 1 + nq + nme:
-        raise MeshFormatError(
-            path,
-            len(lines) + 1,
-            f"file ends early: header promises {1 + nq + nme} lines",
-        )
-    for line_no in range(2, 2 + nq):
-        parts = lines[line_no - 1].split()
-        if len(parts) != 2:
-            raise MeshFormatError(path, line_no, f"expected 2 coordinates, got {len(parts)}")
-        try:
-            for p in parts:
-                _field(float, p)
-        except ValueError:
-            raise MeshFormatError(path, line_no, "invalid coordinate") from None
-    for line_no in range(2 + nq, 2 + nq + nme):
-        for idx in _parse_ints(path, lines[line_no - 1], line_no, 3, "triangle"):
-            if idx < 1 or idx > nq:
-                raise MeshFormatError(
-                    path, line_no, f"vertex index {idx} out of range 1..{nq}"
-                )
-    for line_no in range(2 + nq + nme, len(lines) + 1):
-        if lines[line_no - 1].strip():
-            raise MeshFormatError(path, line_no, "unexpected content after last triangle")
-    raise MeshFormatError(path, 2, "numpy's parser rejected the file, but no line is malformed")

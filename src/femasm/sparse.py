@@ -58,9 +58,10 @@ class CscMatrix:
         if n_rows < 1 or n_cols < 1:
             raise ValueError("matrix dimensions must be positive")
         values = np.ascontiguousarray(values, dtype=np.float64)
+        col_ptr = _as_index_array(col_ptr, "col_ptr entry").astype(np.int64, copy=False)
+        row_idx = _as_index_array(row_idx, "row index").astype(np.int64, copy=False)
         if validate:
-            col_ptr = _as_index_array(col_ptr, "col_ptr entry").ravel()
-            row_idx = _as_index_array(row_idx, "row index").ravel()
+            col_ptr, row_idx = col_ptr.ravel(), row_idx.ravel()
             if col_ptr.shape != (n_cols + 1,):
                 raise ValueError("col_ptr must have n_cols+1 entries")
             if col_ptr[0] != 0 or col_ptr[-1] != row_idx.size:
@@ -73,8 +74,6 @@ class CscMatrix:
             cols = np.repeat(np.arange(n_cols), np.diff(col_ptr))
             if ((np.diff(row_idx) <= 0) & (np.diff(cols) == 0)).any():
                 raise ValueError("row indices must increase within a column")
-        col_ptr = np.ascontiguousarray(col_ptr, dtype=np.int64)
-        row_idx = np.ascontiguousarray(row_idx, dtype=np.int64)
         for arr in (col_ptr, row_idx, values):
             arr.flags.writeable = False
         object.__setattr__(self, "n_rows", n_rows)
@@ -211,9 +210,9 @@ class Pattern:
     def __init__(self, n_rows, n_cols, col_ptr, row_idx, slot):
         object.__setattr__(self, "n_rows", index(n_rows))
         object.__setattr__(self, "n_cols", index(n_cols))
-        col_ptr = np.ascontiguousarray(col_ptr, dtype=np.int64)
-        row_idx = np.ascontiguousarray(row_idx, dtype=np.int64)
-        slot = np.ascontiguousarray(slot, dtype=slot_dtype(row_idx.size))
+        col_ptr = _as_index_array(col_ptr, "col_ptr entry").astype(np.int64, copy=False)
+        row_idx = _as_index_array(row_idx, "row index").astype(np.int64, copy=False)
+        slot = _as_index_array(slot, "slot").astype(slot_dtype(row_idx.size), copy=False)
         for name, arr in (("col_ptr", col_ptr), ("row_idx", row_idx), ("slot", slot)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

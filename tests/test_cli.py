@@ -62,3 +62,44 @@ def test_rejects_unknown_kind(tmp_path):
     with pytest.raises(SystemExit):
         main(["bench", "--kinds", "nope", "--square-sizes", "4",
               "--out", str(tmp_path / "x.csv")])
+
+
+def assemble_error(capsys, mesh_path, out, *options) -> str:
+    """stderr of an ``assemble`` run that must stop on its input with exit
+    status 2 and one error line, no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["assemble", "--mesh", str(mesh_path), "--out", str(out), *options])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("femasm: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+def test_assemble_reports_a_bad_mesh_line(tmp_path, capsys):
+    mesh_path = tmp_path / "bad.txt"
+    mesh_path.write_text("3 1\n0 0\n1 0\n0 1\n1 2 9\n")
+    out = tmp_path / "mass.mtx"
+    err = assemble_error(capsys, mesh_path, out, "--kind", "mass")
+    assert f"{mesh_path}:5: vertex index 9 out of range 1..3" in err
+    assert not out.exists()
+
+
+def test_assemble_reports_a_bad_weight(tmp_path, capsys):
+    mesh_path = tmp_path / "mesh.txt"
+    write_mesh(generate_unit_square_mesh(2), mesh_path)
+    err = assemble_error(
+        capsys, mesh_path, tmp_path / "w.mtx", "--kind", "massw", "--weight", "bogus"
+    )
+    assert "unknown weight field 'bogus'" in err
+
+
+def test_assemble_reports_bad_paths_and_params(tmp_path, capsys):
+    mesh_path = tmp_path / "mesh.txt"
+    write_mesh(generate_unit_square_mesh(2), mesh_path)
+    err = assemble_error(capsys, tmp_path / "missing.txt", tmp_path / "m.mtx", "--kind", "mass")
+    assert "No such file or directory" in err
+    err = assemble_error(capsys, mesh_path, tmp_path / "no" / "m.mtx", "--kind", "mass")
+    assert "No such file or directory" in err
+    err = assemble_error(capsys, mesh_path, tmp_path / "e.mtx", "--kind", "elastic", "--mu", "0")
+    assert "mu must be positive" in err

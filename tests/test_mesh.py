@@ -418,7 +418,7 @@ class TestMeshFileErrors:
             ("-3", "vertex index -3 out of range 1..16"),
             ("17", "vertex index 17 out of range 1..16"),
             ("9223372036854775807", "vertex index 9223372036854775807 out of range 1..16"),
-            ("99999999999999999999", "vertex index 99999999999999999999 out of range 1..16"),
+            ("99999999999999999999", "invalid integer in triangle"),  # outside int64
         ],
     )
     def test_bad_index_reports_its_line(self, tmp_path, index, message):
@@ -450,6 +450,67 @@ class TestMeshFileErrors:
             assert exc.line_no == 5
             assert ("invalid coordinate" in str(exc)) == (not parsed)
             assert "no line is malformed" not in str(exc)
+
+
+class TestMeshFileErrorSearch:
+    """A refused block is searched by halving; these pin the line it finds
+    at the ends and the middle of each block of the n=40 square's file
+    (header line 1, vertex lines 2..1682, triangle lines 1683..4882)."""
+
+    NQ, NME = 41 * 41, 2 * 40 * 40
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        return reference_mesh_bytes(generate_unit_square_mesh(40)).decode().splitlines()
+
+    @pytest.mark.parametrize(
+        "line_no", [1, 2, 2 + NQ // 2, 1 + NQ, 2 + NQ, 2 + NQ + NME // 2, 1 + NQ + NME]
+    )
+    @pytest.mark.parametrize("corrupt", ["token", "field"])
+    def test_names_the_line(self, tmp_path, lines, line_no, corrupt):
+        lines = list(lines)
+        fields = lines[line_no - 1].split()
+        if corrupt == "token":
+            fields[-1] = "x"
+        else:
+            fields.append(fields[-1])
+        lines[line_no - 1] = " ".join(fields)
+        exc = format_error(tmp_path, lines)
+        assert exc.line_no == line_no
+        kind = "header" if line_no == 1 else "triangle" if line_no > 1 + self.NQ else "vertex"
+        invalid = {"header": "invalid integer in header", "vertex": "invalid coordinate",
+                   "triangle": "invalid integer in triangle"}
+        width = {"header": "2 fields for header", "vertex": "2 coordinates",
+                 "triangle": "3 fields for triangle"}
+        if corrupt == "token":
+            assert str(exc).endswith(invalid[kind])
+        else:
+            assert str(exc).endswith(f"expected {width[kind]}, got {len(fields)}")
+
+    def test_bad_last_triangle_costs_a_logarithm_of_parses(self, tmp_path, lines, monkeypatch):
+        lines = list(lines)
+        lines[-1] = "1 2 x"
+        loadtxt, calls = np.loadtxt, []
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        exc = format_error(tmp_path, lines)
+        assert exc.line_no == 1 + self.NQ + self.NME
+        assert len(calls) <= 2 * int(np.ceil(np.log2(self.NME))) + 4
+
+    def test_file_ending_early(self, tmp_path, lines):
+        exc = format_error(tmp_path, lines[:-10])
+        assert exc.line_no == 2 + self.NQ + self.NME - 10
+        assert "file ends early: header promises 4882 lines" in str(exc)
+        short = lines[:-10]
+        short[2 + self.NQ] = "1 2"  # a refused line before the end is named first
+        assert format_error(tmp_path, short).line_no == 3 + self.NQ
+        assert format_error(tmp_path, lines[:1]).line_no == 2
+
+    def test_header_counts_at_the_int64_limit(self, tmp_path):
+        big = 2**63 - 1
+        exc = format_error(tmp_path, [f"{big} {big}", "0 0", "1 0", "0 1"])
+        assert exc.line_no == 5 and f"header promises {1 + 2 * big} lines" in str(exc)
+        exc = format_error(tmp_path, [f"{big + 1} 1"] + QUAD[1:])
+        assert exc.line_no == 1 and str(exc).endswith("invalid integer in header")
 
 
 def corrupt_line(draw, line: bytes, line_no: int, nq: int) -> bytes:

@@ -189,6 +189,13 @@ class TestCscMatrix:
             with pytest.raises(ValueError, match=message):
                 CscMatrix(2, 1, col_ptr, row_idx, [3.0] * len(row_idx))
 
+    def test_unvalidated_arrays_still_refuse_fractions(self):
+        # validate=False skips the structure checks, not the index conversion
+        with pytest.raises(ValueError, match="col_ptr entry 1.9 at position 1 is not an int64"):
+            CscMatrix(2, 1, [0, 1.9], [1.7], [3.0], validate=False)
+        with pytest.raises(ValueError, match="row index 1.7 at position 0 is not an int64"):
+            CscMatrix(2, 1, [0, 1], [1.7], [3.0], validate=False)
+
 
 class TestGet:
     def test_stored_value(self):
@@ -386,6 +393,25 @@ class TestPattern:
         assert p.row_idx.tolist() == [0, 1, 2, 2, 0, 1]
         assert p.slot.tolist() == [0, 1, 2, 3, 4, 5]
         self.assert_same(p.assemble_blocks((EX_K,)), example_matrix())
+
+    @pytest.mark.parametrize(
+        "col_ptr, row_idx, slot, message",
+        [
+            ([0, 1.5], [0.7], [0.2], "col_ptr entry 1.5 at position 1"),
+            ([0, 1], [0.7], [0], "row index 0.7 at position 0"),
+            ([0, 1], [1], [0.2], "slot 0.2 at position 0"),
+        ],
+    )
+    def test_refuses_fractional_arrays(self, col_ptr, row_idx, slot, message):
+        with pytest.raises(ValueError, match=f"{message} is not an int64 integer"):
+            Pattern(2, 1, col_ptr, row_idx, slot)
+
+    def test_keeps_an_int32_slot_map(self):
+        p = Pattern.from_triplets(EX_I, EX_J, 3, 4)
+        assert p.slot.dtype == np.int32
+        q = Pattern(3, 4, p.col_ptr, p.row_idx, p.slot)
+        assert q.slot.dtype == np.int32 and np.shares_memory(q.slot, p.slot)
+        assert np.shares_memory(q.col_ptr, p.col_ptr) and np.shares_memory(q.row_idx, p.row_idx)
 
     def test_duplicates_share_a_slot_in_input_order(self):
         p = Pattern.from_triplets([1, 0, 1], [0, 0, 0], 2, 1)
