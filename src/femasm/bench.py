@@ -26,7 +26,7 @@ import os
 import platform
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -175,6 +175,10 @@ def run_bench(
         raise ValueError("sizes must be strictly ascending")
     if repetitions < 3:
         raise ValueError(f"repetitions must be >= 3, got {repetitions}")
+    if output_path is not None:
+        # an unwritable path fails here, before any cell is timed; mode "a"
+        # creates a missing file and leaves an existing one as it is
+        open(output_path, "a", encoding="ascii").close()
 
     records: list[BenchRecord] = []
     meshes: dict[int, Mesh] = {}
@@ -228,19 +232,25 @@ def _attach_speedups(records: list[BenchRecord]) -> list[BenchRecord]:
     return out
 
 
-_CSV_FIELDS = [
-    "kind",
-    "strategy",
-    "nq",
-    "nme",
-    "n_df",
-    "median_seconds",
-    "speedup_vs_reference",
-    "repetitions",
-    "status",
-    "elements_done",
-    "elements_total",
-]
+# the CSV layout, one row per column: the BenchRecord field it holds, the
+# type a cell is read back as, and the format a value is written with; a
+# None is written as an empty cell
+_SCHEMA = (
+    ("kind", "kind", str, "{}"),
+    ("strategy", "strategy", str, "{}"),
+    ("nq", "nq", int, "{}"),
+    ("nme", "nme", int, "{}"),
+    ("n_df", "n_df", int, "{}"),
+    ("median_seconds", "wall_time_seconds", float, "{:.3f}"),
+    ("speedup_vs_reference", "speedup", float, "{:.2f}"),
+    ("repetitions", "repetitions", int, "{}"),
+    ("status", "status", str, "{}"),
+    ("elements_done", "elements_done", int, "{}"),
+    ("elements_total", "elements_total", int, "{}"),
+)
+# fields that may be empty, or whose column may be absent (files written
+# before the elements_* columns existed lack them)
+_OPTIONAL = {f.name for f in fields(BenchRecord) if f.default is None}
 
 
 def write_records_csv(records: Sequence[BenchRecord], path, metadata: dict) -> None:
@@ -250,56 +260,37 @@ def write_records_csv(records: Sequence[BenchRecord], path, metadata: dict) -> N
     for key in sorted(metadata):
         buf.write(f"# {key}: {metadata[key]}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
+    writer.writerow(column for column, *_ in _SCHEMA)
     for r in records:
         writer.writerow(
-            [
-                r.kind,
-                r.strategy,
-                r.nq,
-                r.nme,
-                r.n_df,
-                f"{r.wall_time_seconds:.3f}",
-                "" if r.speedup is None else f"{r.speedup:.2f}",
-                r.repetitions,
-                r.status,
-                "" if r.elements_done is None else r.elements_done,
-                "" if r.elements_total is None else r.elements_total,
-            ]
+            "" if (value := getattr(r, field)) is None else fmt.format(value)
+            for _, field, _, fmt in _SCHEMA
         )
     with open(path, "w", encoding="ascii") as f:
         f.write(buf.getvalue())
 
 
 def read_records_csv(path) -> list[BenchRecord]:
-    records = []
+    """The records of a file written by write_records_csv.  Raises
+    ValueError naming a required column the header lacks or a required
+    cell that is empty."""
     with open(path, "r", encoding="ascii") as f:
-        rows = [line for line in f if not line.startswith("#")]
-    reader = csv.DictReader(rows)
-    for row in reader:
-        records.append(
-            BenchRecord(
-                kind=row["kind"],
-                strategy=row["strategy"],
-                nq=int(row["nq"]),
-                nme=int(row["nme"]),
-                n_df=int(row["n_df"]),
-                wall_time_seconds=float(row["median_seconds"]),
-                repetitions=int(row["repetitions"]),
-                status=row["status"],
-                speedup=float(row["speedup_vs_reference"])
-                if row["speedup_vs_reference"]
-                else None,
-                # files written before these columns existed lack them
-                elements_done=_optional_int(row.get("elements_done")),
-                elements_total=_optional_int(row.get("elements_total")),
-            )
-        )
+        reader = csv.DictReader([line for line in f if not line.startswith("#")])
+        header = reader.fieldnames or []
+    for column, field, _, _ in _SCHEMA:
+        if column not in header and field not in _OPTIONAL:
+            raise ValueError(f"{path}: no {column!r} column")
+    records = []
+    for row_no, row in enumerate(reader, 1):
+        values = {}
+        for column, field, parse, _ in _SCHEMA:
+            cell = row.get(column)
+            if cell:
+                values[field] = parse(cell)
+            elif field not in _OPTIONAL:
+                raise ValueError(f"{path}: record {row_no} has no {column!r}")
+        records.append(BenchRecord(**values))
     return records
-
-
-def _optional_int(field: Optional[str]) -> Optional[int]:
-    return int(field) if field else None
 
 
 def fit_loglog_slope(records: Sequence[BenchRecord]) -> float:

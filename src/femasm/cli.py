@@ -69,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True)
     b.add_argument("--budget", type=float, default=60.0, help="seconds per cell")
     b.add_argument("--quiet", action="store_true")
+    b.set_defaults(run=_cmd_bench)
 
     a = sub.add_parser("assemble", help="assemble one matrix and export it")
     a.add_argument("--mesh", required=True)
@@ -82,9 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--weight", default="quadratic", help="one | linear | quadratic")
     a.add_argument("--lam", type=float, default=1.0)
     a.add_argument("--mu", type=float, default=1.0)
+    a.set_defaults(run=_cmd_assemble)
 
     s = sub.add_parser("slopes", help="fit log-log slopes from a bench CSV")
     s.add_argument("--in", dest="input", required=True)
+    s.set_defaults(run=_cmd_slopes)
     return parser
 
 
@@ -102,23 +105,15 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_assemble(args, parser) -> int:
-    # faults in the user's input end the run as argparse ends a bad option:
-    # one line on stderr and exit status 2, no traceback
+def _cmd_assemble(args) -> int:
     kwargs = {}
-    try:
-        if args.kind is MatrixKind.WEIGHTED_MASS:
-            kwargs["weight"] = WeightField.by_name(args.weight)
-        elif args.kind is MatrixKind.ELASTIC:
-            kwargs["params"] = ElasticParams(args.lam, args.mu)
-        mesh = read_mesh(args.mesh)
-    except (ValueError, OSError) as exc:  # MeshFormatError is a ValueError
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    matrix = assemble(mesh, args.kind, args.strategy, **kwargs)
-    try:
-        write_matrix_market(matrix, args.out)
-    except OSError as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    if args.kind is MatrixKind.WEIGHTED_MASS:
+        kwargs["weight"] = WeightField.by_name(args.weight)
+    elif args.kind is MatrixKind.ELASTIC:
+        kwargs["params"] = ElasticParams(args.lam, args.mu)
+    # no name holds the mesh, so it and its cached pattern are freed before the write
+    matrix = assemble(read_mesh(args.mesh), args.kind, args.strategy, **kwargs)
+    write_matrix_market(matrix, args.out)
     print(f"wrote {args.out}: {matrix.shape[0]}x{matrix.shape[1]}, nnz={matrix.nnz}")
     return 0
 
@@ -141,9 +136,11 @@ def _cmd_slopes(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "assemble":
-        return _cmd_assemble(args, parser)
-    return {"bench": _cmd_bench, "slopes": _cmd_slopes}[args.command](args)
+    try:
+        return args.run(args)
+    except (ValueError, OSError) as exc:  # MeshFormatError is a ValueError
+        # a fault in the input ends the run as argparse ends a bad option
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

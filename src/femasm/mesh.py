@@ -289,13 +289,8 @@ def read_mesh(path) -> Mesh:
             raise MeshFormatError(path, 1, f"counts must be positive, got nq={nq} nme={nme}")
         promised = 1 + nq + nme
         vertices = _parse_block(path, islice(f, nq), 2, nq, "vertex", promised)
-        connectivity = _parse_block(path, islice(f, nme), 2 + nq, nme, "triangle", promised)
+        connectivity = _parse_block(path, islice(f, nme), 2 + nq, nme, "triangle", promised, nq)
         rest = f.read()
-    if connectivity.min() < 1 or connectivity.max() > nq:
-        row, col = np.argwhere((connectivity < 1) | (connectivity > nq))[0]
-        raise MeshFormatError(
-            path, 2 + nq + row, f"vertex index {connectivity[row, col]} out of range 1..{nq}"
-        )
     if rest.strip():
         extra = next(k for k, line in enumerate(rest.split("\n")) if line.strip())
         raise MeshFormatError(path, promised + 1 + extra, "unexpected content after last triangle")
@@ -322,15 +317,19 @@ _LINES = {
 }
 
 
-def _parse_block(path, lines, first: int, count: int, kind: str, promised: int) -> np.ndarray:
+def _parse_block(
+    path, lines, first: int, count: int, kind: str, promised: int, nq: int | None = None
+) -> np.ndarray:
     """The ``count`` lines of ``kind`` from line ``first`` of the file as a
     (count, width) array.  If numpy's parser refuses them, raises
     MeshFormatError at the first line it refuses, found by halving: the
     parser reads each line on its own, so lines are refused exactly when
-    one of them is."""
+    one of them is.  With ``nq`` given, an index outside 1..nq on a line
+    before any refused one is reported instead, at its own line."""
     dtype, width, fields, invalid = _LINES[kind]
     block = _load_block(lines, dtype, (count, width))
     if block is not None:
+        _check_range(path, block, first, nq)
         return block
     with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
         # the blank line stands for the end of the file, which refuses a short block
@@ -342,6 +341,8 @@ def _parse_block(path, lines, first: int, count: int, kind: str, promised: int) 
             hi = mid
         else:
             lo = mid
+    if lo and nq is not None:
+        _check_range(path, _load_block(lines[:lo], dtype, (lo, width)), first, nq)
     if lo == len(lines) - 1:
         raise MeshFormatError(
             path, first + lo, f"file ends early: header promises {promised} lines"
@@ -350,6 +351,16 @@ def _parse_block(path, lines, first: int, count: int, kind: str, promised: int) 
     raise MeshFormatError(
         path, first + lo, invalid if got == width else f"expected {width} {fields}, got {got}"
     )
+
+
+def _check_range(path, connectivity: np.ndarray, first: int, nq: int | None) -> None:
+    """Raises MeshFormatError at the first line of ``connectivity``, read
+    from line ``first`` on, that names a vertex outside 1..nq."""
+    if nq is not None and (connectivity.min() < 1 or connectivity.max() > nq):
+        row, col = np.argwhere((connectivity < 1) | (connectivity > nq))[0]
+        raise MeshFormatError(
+            path, first + row, f"vertex index {connectivity[row, col]} out of range 1..{nq}"
+        )
 
 
 def _load_block(lines, dtype, shape: tuple[int, int]):

@@ -96,6 +96,51 @@ class TestCsv:
         assert back == recs
 
 
+    def test_exact_bytes(self, tmp_path):
+        recs = [
+            BenchRecord("mass", "optv2", 81, 128, 81, 0.0123456, 5, STATUS_OK, 1.0),
+            BenchRecord("stiff", "classical", 1089, 2048, 1089, 60.0004, 0, STATUS_SKIPPED,
+                        None, 17, 2048),
+            BenchRecord("massw", "optv1", 16, 18, 16, 123456.78951, 3, STATUS_OK, 12345.6789),
+        ]
+        path = tmp_path / "exact.csv"
+        write_records_csv(recs, path, {"machine": 'x, "y"', "a": 2.5})
+        assert path.read_bytes() == (
+            b"# a: 2.5\n"
+            b'# machine: x, "y"\n'
+            b"kind,strategy,nq,nme,n_df,median_seconds,speedup_vs_reference,repetitions,"
+            b"status,elements_done,elements_total\n"
+            b"mass,optv2,81,128,81,0.012,1.00,5,ok,,\n"
+            b"stiff,classical,1089,2048,1089,60.000,,0,skipped,17,2048\n"
+            b"massw,optv1,16,18,16,123456.790,12345.68,3,ok,,\n"
+        )
+
+    def test_reads_files_without_progress_columns(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text(
+            "# machine: old\n"
+            "kind,strategy,nq,nme,n_df,median_seconds,speedup_vs_reference,repetitions,status\n"
+            "mass,optv2,81,128,81,0.012,1.00,5,ok\n"
+            "mass,classical,289,512,289,60.000,,0,skipped\n"
+        )
+        assert read_records_csv(path) == [
+            BenchRecord("mass", "optv2", 81, 128, 81, 0.012, 5, STATUS_OK, 1.0),
+            BenchRecord("mass", "classical", 289, 512, 289, 60.0, 0, STATUS_SKIPPED),
+        ]
+
+    def test_names_a_missing_column_or_cell(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        recs = synthetic_records({100: 0.5})
+        write_records_csv(recs, path, {})
+        header, row = path.read_text().splitlines()
+        path.write_text(header.replace(",nme,", ",") + "\n" + row.replace(",200,", ",") + "\n")
+        with pytest.raises(ValueError, match="no 'nme' column"):
+            read_records_csv(path)
+        path.write_text(header + "\n" + row.replace(",3,", ",,") + "\n")
+        with pytest.raises(ValueError, match="record 1 has no 'repetitions'"):
+            read_records_csv(path)
+
+
 class TestRunBench:
     def test_tiny_run_has_all_cells(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import femasm.bench
 from femasm import generate_unit_square_mesh, write_mesh
 from femasm.bench import BenchRecord, write_records_csv
 from femasm.cli import main
@@ -64,16 +65,20 @@ def test_rejects_unknown_kind(tmp_path):
               "--out", str(tmp_path / "x.csv")])
 
 
-def assemble_error(capsys, mesh_path, out, *options) -> str:
-    """stderr of an ``assemble`` run that must stop on its input with exit
-    status 2 and one error line, no traceback."""
+def cli_error(capsys, *argv) -> str:
+    """stderr of a run that must stop on its input with exit status 2 and
+    one error line, no traceback."""
     with pytest.raises(SystemExit) as exc:
-        main(["assemble", "--mesh", str(mesh_path), "--out", str(out), *options])
+        main([str(arg) for arg in argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("femasm: error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     return err
+
+
+def assemble_error(capsys, mesh_path, out, *options) -> str:
+    return cli_error(capsys, "assemble", "--mesh", mesh_path, "--out", out, *options)
 
 
 def test_assemble_reports_a_bad_mesh_line(tmp_path, capsys):
@@ -103,3 +108,40 @@ def test_assemble_reports_bad_paths_and_params(tmp_path, capsys):
     assert "No such file or directory" in err
     err = assemble_error(capsys, mesh_path, tmp_path / "e.mtx", "--kind", "elastic", "--mu", "0")
     assert "mu must be positive" in err
+
+
+def test_slopes_reports_a_missing_file(tmp_path, capsys):
+    err = cli_error(capsys, "slopes", "--in", tmp_path / "missing.csv")
+    assert "No such file or directory" in err and "missing.csv" in err
+
+
+def test_slopes_reports_a_missing_column(tmp_path, capsys):
+    path = tmp_path / "results.csv"
+    write_records_csv([BenchRecord("mass", "optv2", 81, 128, 81, 0.5, 3)], path, {})
+    header, row = path.read_text().splitlines()
+    path.write_text(header.replace(",nq,", ",") + "\n" + row.replace(",81,", ",", 1) + "\n")
+    err = cli_error(capsys, "slopes", "--in", path)
+    assert "no 'nq' column" in err
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--reps", "2"], "repetitions must be >= 3, got 2"),
+        (["--square-sizes", "8,4"], "sizes must be strictly ascending"),
+    ],
+)
+def test_bench_reports_bad_arguments(tmp_path, capsys, options, message):
+    out = tmp_path / "r.csv"
+    err = cli_error(capsys, "bench", "--square-sizes", "4", "--out", out, "--quiet", *options)
+    assert message in err
+    assert not out.exists()
+
+
+def test_bench_refuses_an_unwritable_out_before_timing(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(femasm.bench, "assemble", lambda *args, **kwargs: calls.append(args))
+    err = cli_error(capsys, "bench", "--kinds", "mass", "--strategies", "optv2",
+                    "--square-sizes", "4", "--out", tmp_path / "no" / "r.csv", "--quiet")
+    assert "No such file or directory" in err
+    assert calls == []

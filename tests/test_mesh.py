@@ -429,6 +429,22 @@ class TestMeshFileErrors:
         assert message in str(exc)
 
     @pytest.mark.parametrize(
+        "triangles, line_no, message",
+        [
+            (["1 2 9", "1 x 4"], 6, "vertex index 9 out of range 1..4"),
+            (["1 x 4", "1 2 9"], 6, "invalid integer in triangle"),
+            (["1 2 3", "0 2 4", "1 2"], 7, "vertex index 0 out of range 1..4"),
+        ],
+    )
+    def test_first_bad_triangle_line_is_named(self, tmp_path, triangles, line_no, message):
+        # an index out of range on a line the parser accepts comes before a
+        # refused line after it
+        header = f"4 {len(triangles)}"
+        exc = format_error(tmp_path, [header, "0 0", "1 0", "1 1", "0 1"] + triangles)
+        assert exc.line_no == line_no
+        assert message in str(exc)
+
+    @pytest.mark.parametrize(
         "token",
         ["1", "-0.5", "+.5", "5.", "1E5", "1e-400", "nan", "-Infinity", "1_0", "0x1p3",
          "1,5", ".", "e5", "1e", "1d5", "1j", "--1", "1e5e", "#1"],
