@@ -46,7 +46,7 @@ import numpy as np
 from . import elements
 from .elements import ElasticParams, elem_mass, elem_mass_weighted, elem_stiff, elem_stiff_elastic
 from .mesh import Mesh
-from .sparse import CscBuilder, CscMatrix, Pattern, _as_index_array, csc_from_triplets, slot_dtype
+from .sparse import CscBuilder, CscMatrix, Pattern, _as_index_array, csc_from_triplets, index_dtype
 
 __all__ = [
     "AssemblyBudgetExceeded",
@@ -167,7 +167,7 @@ def element_dofs(connectivity: np.ndarray, vector: bool) -> np.ndarray:
     dofs = _as_index_array(connectivity, "vertex index")
     if vector:
         dofs = (2 * dofs[:, :, None] + (0, 1)).reshape(dofs.shape[0], 6)
-    return dofs.astype(np.int32 if dofs.max() < 2**31 else np.int64)
+    return dofs.astype(index_dtype(dofs.max()))
 
 
 def _ig_jg(dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,23 +214,25 @@ def expand_pattern_p1_vector(pattern: Pattern) -> Pattern:
     that slot of the triangle's scalar triplet q = ra + 3*cb.
     """
     n, nnz = pattern.n_rows, pattern.nnz
-    col_ptr = pattern.col_ptr
+    dtype = index_dtype(max(2 * n, 4 * nnz))  # Pattern's rule for the vector pattern
+    col_ptr = pattern.col_ptr.astype(dtype)
     length = np.diff(col_ptr)
     col = np.repeat(np.arange(n), length)
-    first = 2 * np.arange(nnz) + 2 * col_ptr[col]  # the slot of (r, c) = (0, 0)
+    first = 2 * np.arange(nnz, dtype=dtype) + 2 * col_ptr[col]  # the slot of (r, c) = (0, 0)
     step = 2 * length[col]  # from c = 0 to c = 1
-    vec_col_ptr = np.zeros(2 * n + 1, dtype=np.int64)
+    vec_col_ptr = np.zeros(2 * n + 1, dtype=dtype)
     np.cumsum(np.repeat(2 * length, 2), out=vec_col_ptr[1:])
 
     nme = pattern.slot.size // 9
     scalar_slot = pattern.slot.reshape(nme, 3, 3)  # [k, cb, ra]
-    row_idx = np.empty(4 * nnz, dtype=np.int64)
-    slot = np.empty((nme, 3, 2, 3, 2), dtype=slot_dtype(4 * nnz))  # [k, cb, c, ra, r]
+    rows = 2 * pattern.row_idx.astype(dtype)  # widened before the doubling
+    row_idx = np.empty(4 * nnz, dtype=dtype)
+    slot = np.empty((nme, 3, 2, 3, 2), dtype=dtype)  # [k, cb, c, ra, r]
     for c in (0, 1):
         base = first + c * step
-        row_idx[base] = 2 * pattern.row_idx
-        row_idx[base + 1] = 2 * pattern.row_idx + 1
-        base = base.astype(slot.dtype)[scalar_slot]
+        row_idx[base] = rows
+        row_idx[base + 1] = rows + 1
+        base = base[scalar_slot]
         slot[:, :, c, :, 0] = base
         np.add(base, 1, out=slot[:, :, c, :, 1])
     return Pattern(2 * n, 2 * n, vec_col_ptr, row_idx, slot.ravel())
@@ -350,8 +352,8 @@ def _assemble_triplet_loop(mesh, kind, elem, budget_s):
     rows, cols = elements.local_map(dofs.shape[1])
     n = kind.n_dof(mesh.nq)
     r = rows.size
-    ig = np.empty(r * mesh.nme, dtype=np.int64)
-    jg = np.empty(r * mesh.nme, dtype=np.int64)
+    ig = np.empty(r * mesh.nme, dtype=dofs.dtype)
+    jg = np.empty(r * mesh.nme, dtype=dofs.dtype)
     kg = np.empty(r * mesh.nme, dtype=np.float64)
     for k in _triangles(mesh.nme, budget_s):
         ids, at = dofs[k], slice(r * k, r * k + r)

@@ -175,6 +175,8 @@ def run_bench(
         raise ValueError("sizes must be strictly ascending")
     if repetitions < 3:
         raise ValueError(f"repetitions must be >= 3, got {repetitions}")
+    if not 0 < time_budget_s < float("inf"):  # NaN fails too
+        raise ValueError(f"time budget must be finite and > 0 seconds, got {time_budget_s}")
     if output_path is not None:
         # an unwritable path fails here, before any cell is timed; mode "a"
         # creates a missing file and leaves an existing one as it is
@@ -272,8 +274,8 @@ def write_records_csv(records: Sequence[BenchRecord], path, metadata: dict) -> N
 
 def read_records_csv(path) -> list[BenchRecord]:
     """The records of a file written by write_records_csv.  Raises
-    ValueError naming a required column the header lacks or a required
-    cell that is empty."""
+    ValueError naming a required column the header lacks, a required
+    cell that is empty or a cell that does not parse."""
     with open(path, "r", encoding="ascii") as f:
         reader = csv.DictReader([line for line in f if not line.startswith("#")])
         header = reader.fieldnames or []
@@ -286,7 +288,10 @@ def read_records_csv(path) -> list[BenchRecord]:
         for column, field, parse, _ in _SCHEMA:
             cell = row.get(column)
             if cell:
-                values[field] = parse(cell)
+                try:
+                    values[field] = parse(cell)
+                except ValueError:
+                    raise ValueError(f"{path}: record {row_no} has a bad {column!r}: {cell!r}")
             elif field not in _OPTIONAL:
                 raise ValueError(f"{path}: record {row_no} has no {column!r}")
         records.append(BenchRecord(**values))

@@ -203,12 +203,8 @@ def generate_unit_square_mesh(n: int) -> Mesh:
     v10 = v00 + 1
     v01 = v00 + (n + 1)
     v11 = v01 + 1
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
-    connectivity = np.empty((2 * n * n, 3), dtype=np.int64)
-    connectivity[0::2] = lower
-    connectivity[1::2] = upper
-    return Mesh(vertices, connectivity)
+    # each cell's lower triangle, then its upper one
+    return Mesh(vertices, np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3))
 
 
 def generate_disk_mesh(n: int) -> Mesh:
@@ -249,8 +245,7 @@ def generate_disk_mesh(n: int) -> Mesh:
             else:
                 tris.append((si + i % ni, so + j % no, si + (i + 1) % ni))
                 i += 1
-    connectivity = np.array(tris, dtype=np.int64)
-    return Mesh(vertices, connectivity)
+    return Mesh(vertices, tris)
 
 
 def write_mesh(mesh: Mesh, path) -> None:

@@ -46,10 +46,16 @@ DENSE_LIMIT = 10**8
 TEXT_BLOCK = 65536
 
 
+def index_dtype(bound: int) -> type:
+    """Index type of a sparse structure whose indices and offsets are at most
+    ``bound``: int32 while ``bound < 2**31``, for half the bytes, else int64."""
+    return np.int32 if bound < 2**31 else np.int64
+
+
 class CscMatrix:
     """Immutable CSC matrix: ``col_ptr`` (n_cols+1), ``row_idx`` and
     ``values`` (both nnz long, column-major, rows strictly increasing
-    within each column)."""
+    within each column), indices of ``index_dtype(max(n_rows, nnz))``."""
 
     __slots__ = ("n_rows", "n_cols", "col_ptr", "row_idx", "values")
 
@@ -58,9 +64,9 @@ class CscMatrix:
         if n_rows < 1 or n_cols < 1:
             raise ValueError("matrix dimensions must be positive")
         values = np.ascontiguousarray(values, dtype=np.float64)
-        col_ptr = _as_index_array(col_ptr, "col_ptr entry").astype(np.int64, copy=False)
-        row_idx = _as_index_array(row_idx, "row index").astype(np.int64, copy=False)
-        if validate:
+        col_ptr = _as_index_array(col_ptr, "col_ptr entry")
+        row_idx = _as_index_array(row_idx, "row index")
+        if validate:  # before the cast to the index width, which could wrap a bad entry
             col_ptr, row_idx = col_ptr.ravel(), row_idx.ravel()
             if col_ptr.shape != (n_cols + 1,):
                 raise ValueError("col_ptr must have n_cols+1 entries")
@@ -74,13 +80,12 @@ class CscMatrix:
             cols = np.repeat(np.arange(n_cols), np.diff(col_ptr))
             if ((np.diff(row_idx) <= 0) & (np.diff(cols) == 0)).any():
                 raise ValueError("row indices must increase within a column")
-        for arr in (col_ptr, row_idx, values):
-            arr.flags.writeable = False
-        object.__setattr__(self, "n_rows", n_rows)
-        object.__setattr__(self, "n_cols", n_cols)
-        object.__setattr__(self, "col_ptr", col_ptr)
-        object.__setattr__(self, "row_idx", row_idx)
-        object.__setattr__(self, "values", values)
+        dtype = index_dtype(max(n_rows, row_idx.size))
+        col_ptr, row_idx = col_ptr.astype(dtype, copy=False), row_idx.astype(dtype, copy=False)
+        for name, value in zip(self.__slots__, (n_rows, n_cols, col_ptr, row_idx, values)):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("CscMatrix is immutable")
@@ -106,7 +111,7 @@ class CscMatrix:
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) in column-major storage order."""
-        cols = np.repeat(np.arange(self.n_cols, dtype=np.int64), np.diff(self.col_ptr))
+        cols = np.repeat(np.arange(self.n_cols, dtype=self.col_ptr.dtype), np.diff(self.col_ptr))
         return self.row_idx.copy(), cols, self.values.copy()
 
     def to_dense(self) -> np.ndarray:
@@ -146,12 +151,6 @@ def _check_indices(idx: np.ndarray, bound: int, what: str) -> None:
     if bad.size:
         pos = int(bad[0])
         raise ValueError(f"{what} index {idx[pos]} at position {pos} out of range [0, {bound})")
-
-
-def slot_dtype(nnz: int) -> type:
-    """Index type of a slot map into ``nnz`` stored entries: int32 while it
-    fits, for half the bytes; ``np.add.at`` takes it as it is."""
-    return np.int32 if nnz < 2**31 else np.int64
 
 
 def _index_stream(rows, cols, n_rows, n_cols):
@@ -200,9 +199,8 @@ class Pattern:
     (the structural nonzeros, in canonical CSC order) and ``slot[p]`` is
     the storage position of triplet p.  ``assemble_blocks`` sums a value
     stream of the same layout into those slots, in stream order.
-    ``col_ptr`` and ``row_idx`` are int64, ``slot`` is int32 while nnz
-    < 2**31 (int64 beyond), and all three are read-only, so one pattern
-    can serve any number of value streams.
+    All three take ``index_dtype(max(n_rows, nnz))`` and are read-only,
+    so one pattern can serve any number of value streams.
     """
 
     __slots__ = ("n_rows", "n_cols", "col_ptr", "row_idx", "slot")
@@ -210,10 +208,12 @@ class Pattern:
     def __init__(self, n_rows, n_cols, col_ptr, row_idx, slot):
         object.__setattr__(self, "n_rows", index(n_rows))
         object.__setattr__(self, "n_cols", index(n_cols))
-        col_ptr = _as_index_array(col_ptr, "col_ptr entry").astype(np.int64, copy=False)
-        row_idx = _as_index_array(row_idx, "row index").astype(np.int64, copy=False)
-        slot = _as_index_array(slot, "slot").astype(slot_dtype(row_idx.size), copy=False)
+        col_ptr = _as_index_array(col_ptr, "col_ptr entry")
+        row_idx = _as_index_array(row_idx, "row index")
+        slot = _as_index_array(slot, "slot")
+        dtype = index_dtype(max(self.n_rows, row_idx.size))
         for name, arr in (("col_ptr", col_ptr), ("row_idx", row_idx), ("slot", slot)):
+            arr = arr.astype(dtype, copy=False)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -226,18 +226,14 @@ class Pattern:
         row).  Slots depend only on the sorted distinct positions, not on
         the sort's stability; ``assemble_blocks`` sets the summation order."""
         rows, cols, n_rows, n_cols = _index_stream(rows, cols, n_rows, n_cols)
-        if not rows.size:  # head[0] below needs a first triplet
-            return cls(n_rows, n_cols, np.zeros(n_cols + 1), [], [])
-
         code = np.multiply(cols, n_rows, dtype=np.int64)
         code += rows
         order = np.argsort(code, kind="stable")
         code = code[order]
-        head = np.empty(code.size, dtype=bool)
-        head[0] = True
+        head = np.ones(code.size, dtype=bool)  # head[0]: the first triplet opens a run
         np.not_equal(code[1:], code[:-1], out=head[1:])
         code = code[head]
-        slot = np.empty(order.size, dtype=slot_dtype(code.size))
+        slot = np.empty(order.size, dtype=index_dtype(max(n_rows, code.size)))
         slot[order] = np.cumsum(head) - 1
         col_ptr = np.searchsorted(code, np.arange(n_cols + 1) * n_rows)  # j*n_rows opens column j
         return cls(n_rows, n_cols, col_ptr, code % n_rows, slot)
@@ -411,7 +407,9 @@ def write_matrix_market(matrix: CscMatrix, path) -> None:
     )
 
     def fields(start, stop):
-        cols = np.searchsorted(matrix.col_ptr, np.arange(start, stop), side="right") - 1
+        # needles of the haystack's dtype, or numpy casts all of col_ptr per block
+        needles = np.arange(start, stop, dtype=matrix.col_ptr.dtype)
+        cols = np.searchsorted(matrix.col_ptr, needles, side="right") - 1
         return labels[matrix.row_idx[start:stop]], labels[cols], matrix.values[start:stop]
 
     with open(path, "w", encoding="ascii") as f:

@@ -139,6 +139,9 @@ class TestCsv:
         path.write_text(header + "\n" + row.replace(",3,", ",,") + "\n")
         with pytest.raises(ValueError, match="record 1 has no 'repetitions'"):
             read_records_csv(path)
+        path.write_text(header + "\n" + row.replace(",3,", ",3.5,") + "\n")
+        with pytest.raises(ValueError, match="record 1 has a bad 'repetitions': '3.5'"):
+            read_records_csv(path)
 
 
 class TestRunBench:
@@ -217,3 +220,10 @@ class TestRunBench:
             run_bench([MatrixKind.MASS], [Strategy.OPTV2], [8], 2, None)
         with pytest.raises(ValueError, match="nonempty"):
             run_bench([MatrixKind.MASS], [Strategy.OPTV2], [], 3, None)
+
+    @pytest.mark.parametrize("budget", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_refuses_a_budget_that_is_not_finite_and_positive(self, tmp_path, budget):
+        out = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match="time budget must be finite and > 0 seconds"):
+            run_bench([MatrixKind.MASS], [Strategy.OPTV2], [4], 3, out, time_budget_s=budget)
+        assert not out.exists()

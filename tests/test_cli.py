@@ -124,11 +124,21 @@ def test_slopes_reports_a_missing_column(tmp_path, capsys):
     assert "no 'nq' column" in err
 
 
+def test_slopes_reports_a_cell_that_does_not_parse(tmp_path, capsys):
+    path = tmp_path / "results.csv"
+    write_records_csv([BenchRecord("mass", "optv2", 81, 128, 81, 0.5, 3)], path, {})
+    header, row = path.read_text().splitlines()
+    path.write_text(header + "\n" + row.replace(",81,", ",abc,", 1) + "\n")
+    err = cli_error(capsys, "slopes", "--in", path)
+    assert err == f"femasm: error: {path}: record 1 has a bad 'nq': 'abc'\n"
+
+
 @pytest.mark.parametrize(
     "options, message",
     [
         (["--reps", "2"], "repetitions must be >= 3, got 2"),
         (["--square-sizes", "8,4"], "sizes must be strictly ascending"),
+        (["--budget", "-1"], "time budget must be finite and > 0 seconds, got -1.0"),
     ],
 )
 def test_bench_reports_bad_arguments(tmp_path, capsys, options, message):

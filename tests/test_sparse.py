@@ -14,7 +14,7 @@ from femasm import (
     max_abs_diff,
     write_matrix_market,
 )
-from femasm.sparse import TEXT_BLOCK
+from femasm.sparse import TEXT_BLOCK, index_dtype
 
 from oracles import dense_from_triplets
 
@@ -164,12 +164,12 @@ class TestCscMatrix:
     def test_accepts_canonical_arrays(self):
         a = CscMatrix(3, 4, [0, 1, 3, 4, 6], EX_I, EX_K)
         assert np.array_equal(a.to_dense(), EX_DENSE)
-        assert a.col_ptr.dtype == a.row_idx.dtype == np.int64
+        assert a.col_ptr.dtype == a.row_idx.dtype == index_dtype(6) == np.int32
 
     def test_accepts_integral_floats(self):
         a = CscMatrix(2, 1, [0.0, 1.0], np.array([1.0]), [3.0])
         assert a.col_ptr.tolist() == [0, 1] and a.row_idx.tolist() == [1]
-        assert a.col_ptr.dtype == a.row_idx.dtype == np.int64
+        assert a.col_ptr.dtype == a.row_idx.dtype == index_dtype(2) == np.int32
 
     @pytest.mark.parametrize(
         "col_ptr, row_idx, message",
@@ -195,6 +195,41 @@ class TestCscMatrix:
             CscMatrix(2, 1, [0, 1.9], [1.7], [3.0], validate=False)
         with pytest.raises(ValueError, match="row index 1.7 at position 0 is not an int64"):
             CscMatrix(2, 1, [0, 1], [1.7], [3.0], validate=False)
+
+
+class TestIndexWidth:
+    """Every sparse structure is int32 while its indices and offsets fit,
+    int64 beyond; the large cases hold one entry, so nothing large is
+    allocated."""
+
+    BIG = 2**31  # rows; the last row index, 2**31 - 1, still fits int32 alone
+
+    def test_rule(self):
+        assert index_dtype(2**31 - 1) is np.int32
+        assert index_dtype(2**31) is np.int64
+
+    def test_triplets_keep_the_matrix_dtype(self):
+        a = example_matrix()
+        rows, cols, _ = a.triplets()
+        assert rows.dtype == cols.dtype == a.col_ptr.dtype == np.int32
+        assert cols.tolist() == EX_J and rows.tolist() == EX_I
+
+    def assert_one_wide_entry(self, a: CscMatrix, value: float):
+        assert a.col_ptr.dtype == a.row_idx.dtype == np.int64
+        assert a.get(self.BIG - 1, 0) == value and a.get(0, 0) == 0.0
+        rows, cols, vals = a.triplets()
+        assert rows.dtype == cols.dtype == np.int64
+        assert (rows.tolist(), cols.tolist(), vals.tolist()) == ([self.BIG - 1], [0], [value])
+
+    def test_a_wide_matrix_is_int64(self):
+        self.assert_one_wide_entry(CscMatrix(self.BIG, 1, [0, 1], [self.BIG - 1], [3.0]), 3.0)
+
+    def test_a_wide_pattern_is_int64(self):
+        made = Pattern(self.BIG, 1, [0, 1], [self.BIG - 1], [0, 0])
+        found = Pattern.from_triplets([self.BIG - 1] * 2, [0, 0], self.BIG, 1)
+        for p in (made, found):
+            assert p.col_ptr.dtype == p.row_idx.dtype == p.slot.dtype == np.int64
+            self.assert_one_wide_entry(p.assemble_blocks(([2.0, 0.5],)), 2.5)
 
 
 class TestGet:
