@@ -202,7 +202,7 @@ class TestIndexWidth:
     int64 beyond; the large cases hold one entry, so nothing large is
     allocated."""
 
-    BIG = 2**31  # rows; the last row index, 2**31 - 1, still fits int32 alone
+    BIG = 2**31  # rows: int64 by max(n_rows, nnz), though row 2**31 - 1 fits int32
 
     def test_rule(self):
         assert index_dtype(2**31 - 1) is np.int32
