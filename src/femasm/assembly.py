@@ -46,7 +46,8 @@ import numpy as np
 from . import elements
 from .elements import ElasticParams, elem_mass, elem_mass_weighted, elem_stiff, elem_stiff_elastic
 from .mesh import Mesh
-from .sparse import CscBuilder, CscMatrix, Pattern, _as_index_array, csc_from_triplets, index_dtype
+from .sparse import BLOCK_BYTES, CscBuilder, CscMatrix, Pattern, _as_index_array
+from .sparse import csc_from_triplets, index_dtype
 
 __all__ = [
     "AssemblyBudgetExceeded",
@@ -65,12 +66,6 @@ __all__ = [
     "element_dofs",
     "expand_pattern_p1_vector",
 ]
-
-# Bytes of element-matrix values OPTV2 computes at once (MILAMIN's blocking):
-# a block stays in cache while it is summed into the slots, and the numeric
-# phase needs memory for one block, not for the mesh.
-BLOCK_BYTES = 2**21
-
 
 class MatrixKind(Enum):
     """The assembled bilinear forms."""

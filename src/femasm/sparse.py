@@ -41,6 +41,11 @@ __all__ = [
 # to_dense() refuses anything larger than this many entries.
 DENSE_LIMIT = 10**8
 
+# Bytes of values the numeric phase handles at once (MILAMIN's blocking):
+# a block stays in cache while it is summed into the slots or compacted,
+# and the numeric phase needs memory for one block, not for the mesh.
+BLOCK_BYTES = 2**21
+
 # Lines per write in the text writers: enough to make the per-block cost
 # vanish, few enough that a block's Python objects stay a few MiB.
 TEXT_BLOCK = 65536
@@ -81,7 +86,8 @@ class CscMatrix:
             if ((np.diff(row_idx) <= 0) & (np.diff(cols) == 0)).any():
                 raise ValueError("row indices must increase within a column")
         dtype = index_dtype(max(n_rows, row_idx.size))
-        col_ptr, row_idx = col_ptr.astype(dtype, copy=False), row_idx.astype(dtype, copy=False)
+        col_ptr = _narrow(col_ptr, dtype, "col_ptr entry")
+        row_idx = _narrow(row_idx, dtype, "row index")
         for name, value in zip(self.__slots__, (n_rows, n_cols, col_ptr, row_idx, values)):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -146,6 +152,18 @@ def _as_index_array(idx, what: str) -> np.ndarray:
     return out
 
 
+def _narrow(idx: np.ndarray, dtype: type, what: str) -> np.ndarray:
+    """``idx`` as ``dtype``; an entry that the cast would change raises
+    ValueError.  Only a cast to a narrower type is checked."""
+    out = idx.astype(dtype, copy=False)
+    if out.itemsize < idx.itemsize:
+        bad = np.flatnonzero(out != idx)
+        if bad.size:
+            pos = int(bad[0])
+            raise ValueError(f"{what} {idx.flat[pos]} at position {pos} does not fit {out.dtype}")
+    return out
+
+
 def _check_indices(idx: np.ndarray, bound: int, what: str) -> None:
     bad = np.flatnonzero((idx < 0) | (idx >= bound))
     if bad.size:
@@ -188,7 +206,7 @@ def csc_from_triplets(rows, cols, vals, n_rows: int, n_cols: int) -> CscMatrix:
     if np.count_nonzero(vals) < vals.size:
         nonzero = vals != 0.0
         rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
-    return Pattern.from_triplets(rows, cols, n_rows, n_cols).assemble_blocks((vals,))
+    return _sort_pattern(rows, cols, n_rows, n_cols).assemble_blocks((vals,))
 
 
 class Pattern:
@@ -212,8 +230,10 @@ class Pattern:
         row_idx = _as_index_array(row_idx, "row index")
         slot = _as_index_array(slot, "slot")
         dtype = index_dtype(max(self.n_rows, row_idx.size))
+        col_ptr = _narrow(col_ptr, dtype, "col_ptr entry")
+        row_idx = _narrow(row_idx, dtype, "row index")
+        slot = _narrow(slot, dtype, "slot")
         for name, arr in (("col_ptr", col_ptr), ("row_idx", row_idx), ("slot", slot)):
-            arr = arr.astype(dtype, copy=False)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -225,18 +245,7 @@ class Pattern:
         """Pattern of the index stream (rows, cols), from a sort by (column,
         row).  Slots depend only on the sorted distinct positions, not on
         the sort's stability; ``assemble_blocks`` sets the summation order."""
-        rows, cols, n_rows, n_cols = _index_stream(rows, cols, n_rows, n_cols)
-        code = np.multiply(cols, n_rows, dtype=np.int64)
-        code += rows
-        order = np.argsort(code, kind="stable")
-        code = code[order]
-        head = np.ones(code.size, dtype=bool)  # head[0]: the first triplet opens a run
-        np.not_equal(code[1:], code[:-1], out=head[1:])
-        code = code[head]
-        slot = np.empty(order.size, dtype=index_dtype(max(n_rows, code.size)))
-        slot[order] = np.cumsum(head) - 1
-        col_ptr = np.searchsorted(code, np.arange(n_cols + 1) * n_rows)  # j*n_rows opens column j
-        return cls(n_rows, n_cols, col_ptr, code % n_rows, slot)
+        return _sort_pattern(*_index_stream(rows, cols, n_rows, n_cols))
 
     @property
     def nnz(self) -> int:
@@ -251,7 +260,12 @@ class Pattern:
         from 0.0, so each slot sums its triplets in their input order;
         input zeros leave every nonzero sum as it is, and sums that are
         exactly zero are dropped.  When none is, the pattern's own arrays
-        become the result's structure.
+        become the result's structure.  Otherwise the kept sums move to the
+        front of the sums in place, ``BLOCK_BYTES`` at a time, beside fresh
+        kept rows and col_ptr, and the sums shrink to the result's values.
+        A call holds the sums (8 B per position), the kept rows (4 B per
+        kept position) and col_ptr when something is dropped, and a few
+        ``BLOCK_BYTES``.
         """
         sums = np.zeros(self.nnz)
         start = 0
@@ -264,24 +278,51 @@ class Pattern:
             start = stop
         if start != self.slot.size:
             raise ValueError(f"expected {self.slot.size} values, got {start}")
-        if np.count_nonzero(sums) == sums.size:  # no sum is exactly zero
+        kept = np.count_nonzero(sums)
+        if kept == sums.size:  # no sum is exactly zero
             return CscMatrix(
                 self.n_rows, self.n_cols, self.col_ptr, self.row_idx, sums, validate=False
             )
-        keep = sums != 0.0
-        return CscMatrix(
-            self.n_rows,
-            self.n_cols,
-            # a column starts earlier by the dropped entries before it
-            self.col_ptr - np.searchsorted(np.flatnonzero(~keep), self.col_ptr),
-            self.row_idx[keep],
-            sums[keep],
-            validate=False,
-        )
+        # Davis's cs_fkeep, one block at a time: a block's kept sums move to
+        # the front of ``sums``, never past the block being read
+        dtype = index_dtype(max(self.n_rows, kept))
+        col_ptr, row_idx = np.empty_like(self.col_ptr, dtype=dtype), np.empty(kept, dtype=dtype)
+        piece, out, lo = BLOCK_BYTES // 8, 0, 0
+        for start in range(0, sums.size, piece):
+            stop = min(start + piece, sums.size)
+            at = np.flatnonzero(sums[start:stop] != 0.0)
+            # columns lo..hi-1 start in this block or at its end (a needle of
+            # col_ptr's dtype, or numpy casts all of col_ptr per block)
+            hi = int(self.col_ptr.searchsorted(self.col_ptr.dtype.type(stop), "right"))
+            col_ptr[lo:hi] = out + at.searchsorted(self.col_ptr[lo:hi] - start)
+            row_idx[out : out + at.size] = self.row_idx[start:stop][at]
+            sums[out : out + at.size] = sums[start:stop][at]
+            out, lo = out + at.size, hi
+        # frees the dropped tail in place.  No view of sums is alive (each
+        # slice above was a temporary); refcheck would also count a
+        # debugger's references to sums itself and refuse
+        sums.resize(kept, refcheck=False)
+        return CscMatrix(self.n_rows, self.n_cols, col_ptr, row_idx, sums, validate=False)
 
     def __repr__(self) -> str:
         shape = (self.n_rows, self.n_cols)
         return f"Pattern(shape={shape}, nnz={self.nnz}, triplets={self.slot.size})"
+
+
+def _sort_pattern(rows, cols, n_rows: int, n_cols: int) -> Pattern:
+    """``Pattern.from_triplets`` of an index stream that ``_index_stream``
+    has converted and checked."""
+    code = np.multiply(cols, n_rows, dtype=np.int64)
+    code += rows
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    head = np.ones(code.size, dtype=bool)  # head[0]: the first triplet opens a run
+    np.not_equal(code[1:], code[:-1], out=head[1:])
+    code = code[head]
+    slot = np.empty(order.size, dtype=index_dtype(max(n_rows, code.size)))
+    slot[order] = np.cumsum(head) - 1
+    col_ptr = np.searchsorted(code, np.arange(n_cols + 1) * n_rows)  # j*n_rows opens column j
+    return Pattern(n_rows, n_cols, col_ptr, code % n_rows, slot)
 
 
 def max_abs_diff(a: CscMatrix, b: CscMatrix) -> float:

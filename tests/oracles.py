@@ -31,6 +31,16 @@ def dense_from_triplets(rows, cols, vals, n_rows, n_cols):
     return dense
 
 
+def mask_drop(pattern, sums):
+    """(col_ptr, row_idx, values) of ``pattern`` with the sums ``sums``,
+    the positions whose sum is exactly zero dropped by whole-array masks:
+    the zero drop of ``Pattern.assemble_blocks`` before it compacted in
+    place."""
+    keep = sums != 0.0
+    col_ptr = pattern.col_ptr - np.searchsorted(np.flatnonzero(~keep), pattern.col_ptr)
+    return col_ptr, pattern.row_idx[keep], sums[keep]
+
+
 def basis_gradients(p1, p2, p3):
     """P1 basis gradients via the inverse coordinate matrix, shape (2, 3)."""
     a = np.array([[1.0, p1[0], p1[1]], [1.0, p2[0], p2[1]], [1.0, p3[0], p3[1]]])

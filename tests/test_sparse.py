@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -14,8 +15,10 @@ from femasm import (
     max_abs_diff,
     write_matrix_market,
 )
-from femasm.sparse import TEXT_BLOCK, index_dtype
+import femasm.sparse
+from femasm.sparse import BLOCK_BYTES, TEXT_BLOCK, index_dtype
 
+import oracles
 from oracles import dense_from_triplets
 
 # worked 3x4 example: duplicate-free triplets of a small CSC matrix
@@ -120,13 +123,13 @@ class TestFromTriplets:
         k[rng.random(length) < 0.1] = -0.0
         reference = Pattern.from_triplets(i, j, 40, 30).assemble_blocks((k,))
         sorted_streams = []
-        original = Pattern.from_triplets
+        original = femasm.sparse._sort_pattern
 
         def spy(rows, cols, n_rows, n_cols):
             sorted_streams.append((rows, cols))
             return original(rows, cols, n_rows, n_cols)
 
-        monkeypatch.setattr(Pattern, "from_triplets", spy)
+        monkeypatch.setattr(femasm.sparse, "_sort_pattern", spy)
         a = csc_from_triplets(i, j, k, 40, 30)
         ((rows, cols),) = sorted_streams
         assert np.array_equal(rows, i[k != 0.0]) and np.array_equal(cols, j[k != 0.0])
@@ -136,6 +139,20 @@ class TestFromTriplets:
         assert np.array_equal(a.col_ptr, reference.col_ptr)
         assert np.array_equal(a.row_idx, reference.row_idx)
         assert np.array_equal(a.values.view(np.int64), reference.values.view(np.int64))
+
+    def test_checks_the_stream_once(self, monkeypatch):
+        checked = []
+        original = femasm.sparse._index_stream
+
+        def spy(*args):
+            checked.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(femasm.sparse, "_index_stream", spy)
+        csc_from_triplets(EX_I, EX_J, EX_K, 3, 4)
+        assert len(checked) == 1
+        Pattern.from_triplets(EX_I, EX_J, 3, 4)
+        assert len(checked) == 2
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_bad_index_of_a_zero_still_raises(self, zero):
@@ -441,6 +458,26 @@ class TestPattern:
         with pytest.raises(ValueError, match=f"{message} is not an int64 integer"):
             Pattern(2, 1, col_ptr, row_idx, slot)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Pattern(3, 1, [0, 1], [2**32 + 2], [0]), "row index 4294967298 at position 0"),
+            (lambda: Pattern(3, 1, [0, 1], [2], [2**32]), "slot 4294967296 at position 0"),
+            (
+                lambda: CscMatrix(3, 1, [0, 1], [2**32 + 2], [1.0], validate=False),
+                "row index 4294967298 at position 0",
+            ),
+            (
+                lambda: CscMatrix(3, 1, [0, 2**32 + 1], [2], [1.0], validate=False),
+                "col_ptr entry 4294967297 at position 1",
+            ),
+        ],
+    )
+    def test_refuses_entries_beyond_the_index_width(self, build, message):
+        # the int32 cast would wrap these to row 2, slot 0 and col_ptr entry 1
+        with pytest.raises(ValueError, match=f"{message} does not fit int32"):
+            build()
+
     def test_keeps_an_int32_slot_map(self):
         p = Pattern.from_triplets(EX_I, EX_J, 3, 4)
         assert p.slot.dtype == np.int32
@@ -548,6 +585,93 @@ class TestPattern:
             p.assemble_blocks([EX_K[:4], EX_K[4:], [1.0]])
         with pytest.raises(ValueError, match="expected 6 values, got 5"):
             p.assemble_blocks([EX_K[:2], EX_K[2:5]])
+
+
+def cancelling_stream(layout, cancelled, seed=0):
+    """(pattern, vals): each position of the boolean ``layout`` gets two
+    values, in a shuffled stream, that sum to exactly 0.0 where
+    ``cancelled`` is set; ``cancelled`` is indexed by storage position."""
+    cols, rows = np.nonzero(np.asarray(layout).T)  # storage order: by column, then row
+    rng = np.random.default_rng(seed)
+    first = rng.standard_normal(rows.size)
+    second = np.where(cancelled, -first, rng.standard_normal(rows.size))
+    order = rng.permutation(2 * rows.size)
+    rows, cols = np.tile(rows, 2)[order], np.tile(cols, 2)[order]
+    pattern = Pattern.from_triplets(rows, cols, *np.shape(layout))
+    return pattern, np.concatenate([first, second])[order]
+
+
+def assert_drop_matches_the_mask_drop(pattern, vals, piece):
+    sums = np.zeros(pattern.nnz)
+    np.add.at(sums, pattern.slot, vals)
+    col_ptr, row_idx, values = oracles.mask_drop(pattern, sums)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(femasm.sparse, "BLOCK_BYTES", 8 * piece)
+        a = pattern.assemble_blocks((vals,))
+    assert np.array_equal(a.col_ptr, col_ptr)
+    assert np.array_equal(a.row_idx, row_idx)
+    assert np.array_equal(a.values.view(np.int64), values.view(np.int64))
+    owner = a.values if a.values.base is None else a.values.base
+    assert owner.nbytes == 8 * a.nnz  # the dropped tail is not kept alive
+
+
+class TestZeroDrop:
+    """The in-place drop of ``assemble_blocks`` against the whole-array one,
+    with the compaction's pieces shrunk to a few entries."""
+
+    # 4 x 6, column 3 empty: columns start at storage positions 0, 4, 8, 12, 12, 16
+    LAYOUT = np.ones((4, 6), dtype=bool)
+    LAYOUT[:, 3] = False
+
+    @pytest.mark.parametrize(
+        "cancelled",
+        [
+            [2, 3, 5, 6],  # both sides of the piece boundaries at 3 and 6
+            [4, 7, 12, 19],  # first and last slot of a column, and of the matrix
+            [8, 9, 10, 11],  # a whole column, before the empty one
+            list(range(20)),  # every position
+            [],  # none
+        ],
+        ids=["piece-boundaries", "column-ends", "whole-column", "all", "none"],
+    )
+    def test_named_cases(self, cancelled):
+        flags = np.isin(np.arange(20), cancelled)
+        pattern, vals = cancelling_stream(self.LAYOUT, flags)
+        assert_drop_matches_the_mask_drop(pattern, vals, piece=3)
+
+    def test_at_the_real_piece_size(self):
+        piece = BLOCK_BYTES // 8
+        layout = np.ones((piece + 2, 2), dtype=bool)
+        flags = np.isin(np.arange(layout.size), [piece - 1, piece, piece + 1, piece + 2])
+        pattern, vals = cancelling_stream(layout, flags)
+        assert_drop_matches_the_mask_drop(pattern, vals, piece)
+
+    def test_runs_under_a_tracer_that_reads_the_locals(self):
+        # a debugger stepping through the drop holds references to its locals
+        pattern, vals = cancelling_stream(self.LAYOUT, np.isin(np.arange(20), [5, 9]))
+
+        def tracer(frame, event, arg):
+            frame.f_locals
+            return tracer
+
+        outer = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            a = pattern.assemble_blocks((vals,))
+        finally:
+            sys.settrace(outer)
+        assert a.nnz == 18 and a.values.base is None and a.values.nbytes == 8 * 18
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_mask_drop(self, data):
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        layout = data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+        layout = np.reshape(layout, (m, n))
+        nnz = int(layout.sum())
+        flags = data.draw(st.lists(st.booleans(), min_size=nnz, max_size=nnz))
+        pattern, vals = cancelling_stream(layout, np.array(flags, dtype=bool))
+        assert_drop_matches_the_mask_drop(pattern, vals, data.draw(st.integers(1, 8)))
 
 
 def reference_matrix_market_bytes(matrix: CscMatrix) -> bytes:
