@@ -10,7 +10,8 @@ block with ``np.add.at``, which adds in stream order, so each position
 sums left-to-right in input order, bit for bit reproducibly, and a
 caller never has to hold the stream whole.  ``csc_from_triplets`` is its
 one-shot use, on a stream's nonzero triplets.  Index arrays convert only
-by ``_as_index_array``, scalar indices and sizes by ``operator.index``.
+by ``_as_index_array`` and narrow to the index width only by ``_narrow``,
+scalar indices and sizes by ``operator.index``.
 
 ``CscBuilder`` is the deliberately naive path: it keeps a live CSC image
 with exact-fit storage, so every insertion of a *new* position rewrites
@@ -298,9 +299,8 @@ class Pattern:
             row_idx[out : out + at.size] = self.row_idx[start:stop][at]
             sums[out : out + at.size] = sums[start:stop][at]
             out, lo = out + at.size, hi
-        # frees the dropped tail in place.  No view of sums is alive (each
-        # slice above was a temporary); refcheck would also count a
-        # debugger's references to sums itself and refuse
+        # no view of sums is alive, so the dropped tail is freed in place;
+        # refcheck would also count a debugger's references, and refuse
         sums.resize(kept, refcheck=False)
         return CscMatrix(self.n_rows, self.n_cols, col_ptr, row_idx, sums, validate=False)
 
