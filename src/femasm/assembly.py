@@ -230,7 +230,7 @@ def expand_pattern_p1_vector(pattern: Pattern) -> Pattern:
         base = base[scalar_slot]
         slot[:, :, c, :, 0] = base
         np.add(base, 1, out=slot[:, :, c, :, 1])
-    return Pattern(2 * n, 2 * n, vec_col_ptr, row_idx, slot.ravel())
+    return Pattern._trusted(2 * n, 2 * n, vec_col_ptr, row_idx, slot.ravel())
 
 
 def batch_gradients(mesh: Mesh, block: slice = slice(None)) -> np.ndarray:

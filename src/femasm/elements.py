@@ -125,14 +125,17 @@ def fill_elastic(out, g, area, lam, mu) -> None:
 
 @dataclass(frozen=True)
 class ElasticParams:
-    """Lame coefficients of an isotropic material; admissible when
-    lam + mu > 0 and mu > 0."""
+    """Lame coefficients of an isotropic material; admissible when both
+    are finite, lam + mu > 0 and mu > 0."""
 
     lam: float
     mu: float
 
     def __post_init__(self):
         lam, mu = float(self.lam), float(self.mu)
+        for name, value in (("lam", lam), ("mu", mu)):
+            if not np.isfinite(value):  # first, so NaN is named here, not by lam + mu > 0
+                raise ValueError(f"{name} must be finite, got {value:g}")
         if not lam + mu > 0.0:
             raise ValueError(f"lam + mu must be positive, got {lam + mu:g}")
         if not mu > 0.0:

@@ -75,7 +75,7 @@ def compute_areas(vertices: np.ndarray, connectivity: np.ndarray) -> np.ndarray:
     """
     vertices = np.asarray(vertices, dtype=np.float64)
     connectivity = _as_index_array(connectivity, "vertex index")
-    _check_indices(connectivity.ravel(), len(vertices), "vertex")
+    _check_indices(connectivity.ravel(), len(vertices), "vertex index")
     p1 = vertices[connectivity[:, 0]]
     p2 = vertices[connectivity[:, 1]]
     p3 = vertices[connectivity[:, 2]]

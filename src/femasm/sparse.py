@@ -10,8 +10,8 @@ block with ``np.add.at``, which adds in stream order, so each position
 sums left-to-right in input order, bit for bit reproducibly, and a
 caller never has to hold the stream whole.  ``csc_from_triplets`` is its
 one-shot use, on a stream's nonzero triplets.  Index arrays convert only
-by ``_as_index_array`` and narrow to the index width only by ``_narrow``,
-scalar indices and sizes by ``operator.index``.
+by ``_as_index_array``, scalar indices and sizes by ``operator.index``,
+and a CSC structure is checked and cast only by ``_checked_structure``.
 
 ``CscBuilder`` is the deliberately naive path: it keeps a live CSC image
 with exact-fit storage, so every insertion of a *new* position rewrites
@@ -58,52 +58,74 @@ def index_dtype(bound: int) -> type:
     return np.int32 if bound < 2**31 else np.int64
 
 
-class CscMatrix:
-    """Immutable CSC matrix: ``col_ptr`` (n_cols+1), ``row_idx`` and
-    ``values`` (both nnz long, column-major, rows strictly increasing
-    within each column), indices of ``index_dtype(max(n_rows, nnz))``."""
+class _Csc:
+    """The CSC structure of ``CscMatrix`` and ``Pattern``: ``col_ptr``
+    (n_cols+1) and ``row_idx`` (nnz, column-major, rows strictly increasing
+    within each column), read-only, of ``index_dtype(max(n_rows, nnz))``.
+    Their constructors check it with ``_checked_structure``; code whose
+    arrays already pass those checks stores them through ``_trusted``."""
 
-    __slots__ = ("n_rows", "n_cols", "col_ptr", "row_idx", "values")
+    __slots__ = ("n_rows", "n_cols", "col_ptr", "row_idx")
 
-    def __init__(self, n_rows, n_cols, col_ptr, row_idx, values, validate=True):
-        n_rows, n_cols = index(n_rows), index(n_cols)
-        if n_rows < 1 or n_cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        col_ptr = _as_index_array(col_ptr, "col_ptr entry")
-        row_idx = _as_index_array(row_idx, "row index")
-        if validate:  # before the cast to the index width, which could wrap a bad entry
-            col_ptr, row_idx = col_ptr.ravel(), row_idx.ravel()
-            if col_ptr.shape != (n_cols + 1,):
-                raise ValueError("col_ptr must have n_cols+1 entries")
-            if col_ptr[0] != 0 or col_ptr[-1] != row_idx.size:
-                raise ValueError("col_ptr must start at 0 and end at nnz")
-            if (np.diff(col_ptr) < 0).any():
-                raise ValueError("col_ptr must be nondecreasing")
-            if row_idx.shape != values.shape:
-                raise ValueError("row_idx and values must have equal length")
-            _check_indices(row_idx, n_rows, "row")
-            cols = np.repeat(np.arange(n_cols), np.diff(col_ptr))
-            if ((np.diff(row_idx) <= 0) & (np.diff(cols) == 0)).any():
-                raise ValueError("row indices must increase within a column")
-        dtype = index_dtype(max(n_rows, row_idx.size))
-        col_ptr = _narrow(col_ptr, dtype, "col_ptr entry")
-        row_idx = _narrow(row_idx, dtype, "row index")
-        for name, value in zip(self.__slots__, (n_rows, n_cols, col_ptr, row_idx, values)):
+    @classmethod
+    def _trusted(cls, *fields):
+        """``cls`` of ``fields`` in slot order, neither checked nor converted."""
+        self = object.__new__(cls)
+        self._store(*fields)
+        return self
+
+    def _store(self, *fields):
+        for name, value in zip(_Csc.__slots__ + type(self).__slots__, fields):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
-        raise AttributeError("CscMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def nnz(self) -> int:
-        return int(self.values.size)
+        return int(self.row_idx.size)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
+
+
+def _checked_structure(n_rows, n_cols, col_ptr, row_idx) -> tuple:
+    """(n_rows, n_cols, col_ptr, row_idx) checked, then cast to the index
+    width, so an entry that the cast would wrap is refused as out of range."""
+    n_rows, n_cols = index(n_rows), index(n_cols)
+    if n_rows < 1 or n_cols < 1:
+        raise ValueError("matrix dimensions must be positive")
+    col_ptr = _as_index_array(col_ptr, "col_ptr entry").ravel()
+    row_idx = _as_index_array(row_idx, "row index").ravel()
+    nnz = row_idx.size
+    if col_ptr.size != n_cols + 1:
+        raise ValueError(f"col_ptr must have n_cols+1 = {n_cols + 1} entries, got {col_ptr.size}")
+    why = f"out of range: col_ptr must start at 0 and end at nnz = {nnz}"
+    _refuse_first(col_ptr[:1] != 0, col_ptr, 0, "col_ptr entry", why)
+    _refuse_first(col_ptr[-1:] != nnz, col_ptr, n_cols, "col_ptr entry", why)
+    _refuse_first(col_ptr[1:] < col_ptr[:-1], col_ptr, 1, "col_ptr entry", "is below the last")
+    _check_indices(row_idx, n_rows, "row index")
+    cols = np.repeat(np.arange(n_cols), np.diff(col_ptr))
+    falling = (row_idx[1:] <= row_idx[:-1]) & (cols[1:] == cols[:-1])
+    _refuse_first(falling, row_idx, 1, "row index", "does not increase within its column")
+    dtype = index_dtype(max(n_rows, nnz))
+    return n_rows, n_cols, col_ptr.astype(dtype, copy=False), row_idx.astype(dtype, copy=False)
+
+
+class CscMatrix(_Csc):
+    """Immutable CSC matrix: the ``_Csc`` structure and one value per position."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, n_rows, n_cols, col_ptr, row_idx, values):
+        n_rows, n_cols, col_ptr, row_idx = _checked_structure(n_rows, n_cols, col_ptr, row_idx)
+        values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+        if values.size != row_idx.size:
+            raise ValueError(f"{row_idx.size} row indices but {values.size} values")
+        self._store(n_rows, n_cols, col_ptr, row_idx, values)
 
     def get(self, i: int, j: int) -> float:
         """Stored value at (i, j), or 0.0 when the position is absent."""
@@ -146,30 +168,21 @@ def _as_index_array(idx, what: str) -> np.ndarray:
         idx = idx.astype(np.float64)
     with np.errstate(invalid="ignore"):  # NaN, inf and overflow fail the test below
         out = idx.astype(np.int64)
-        bad = np.flatnonzero((out != idx) | (idx >= 2**63))
+        bad = (out != idx) | (idx >= 2**63)
+    _refuse_first(bad, idx, 0, what, "is not an int64 integer")
+    return out
+
+
+def _refuse_first(bad: np.ndarray, idx: np.ndarray, offset: int, what: str, why: str) -> None:
+    """Raise ValueError naming the entry of ``idx`` at the first true ``bad`` + ``offset``."""
+    bad = np.flatnonzero(bad)
     if bad.size:
-        pos = int(bad[0])
-        raise ValueError(f"{what} {idx.flat[pos]} at position {pos} is not an int64 integer")
-    return out
-
-
-def _narrow(idx: np.ndarray, dtype: type, what: str) -> np.ndarray:
-    """``idx`` as ``dtype``; an entry that the cast would change raises
-    ValueError.  Only a cast to a narrower type is checked."""
-    out = idx.astype(dtype, copy=False)
-    if out.itemsize < idx.itemsize:
-        bad = np.flatnonzero(out != idx)
-        if bad.size:
-            pos = int(bad[0])
-            raise ValueError(f"{what} {idx.flat[pos]} at position {pos} does not fit {out.dtype}")
-    return out
+        pos = int(bad[0]) + offset
+        raise ValueError(f"{what} {idx.flat[pos]} at position {pos} {why}")
 
 
 def _check_indices(idx: np.ndarray, bound: int, what: str) -> None:
-    bad = np.flatnonzero((idx < 0) | (idx >= bound))
-    if bad.size:
-        pos = int(bad[0])
-        raise ValueError(f"{what} index {idx[pos]} at position {pos} out of range [0, {bound})")
+    _refuse_first((idx < 0) | (idx >= bound), idx, 0, what, f"out of range [0, {bound})")
 
 
 def _index_stream(rows, cols, n_rows, n_cols):
@@ -181,8 +194,8 @@ def _index_stream(rows, cols, n_rows, n_cols):
         raise ValueError(f"index arrays disagree in length: {rows.size}, {cols.size}")
     if n_rows < 1 or n_cols < 1:
         raise ValueError("matrix dimensions must be positive")
-    _check_indices(rows, n_rows, "row")
-    _check_indices(cols, n_cols, "column")
+    _check_indices(rows, n_rows, "row index")
+    _check_indices(cols, n_cols, "column index")
     return rows, cols, n_rows, n_cols
 
 
@@ -210,7 +223,7 @@ def csc_from_triplets(rows, cols, vals, n_rows: int, n_cols: int) -> CscMatrix:
     return _sort_pattern(rows, cols, n_rows, n_cols).assemble_blocks((vals,))
 
 
-class Pattern:
+class Pattern(_Csc):
     """The sparsity pattern of a fixed index stream: the symbolic phase of
     the sparse construction, with ``assemble_blocks`` as its numeric phase.
 
@@ -222,24 +235,13 @@ class Pattern:
     so one pattern can serve any number of value streams.
     """
 
-    __slots__ = ("n_rows", "n_cols", "col_ptr", "row_idx", "slot")
+    __slots__ = ("slot",)
 
     def __init__(self, n_rows, n_cols, col_ptr, row_idx, slot):
-        object.__setattr__(self, "n_rows", index(n_rows))
-        object.__setattr__(self, "n_cols", index(n_cols))
-        col_ptr = _as_index_array(col_ptr, "col_ptr entry")
-        row_idx = _as_index_array(row_idx, "row index")
-        slot = _as_index_array(slot, "slot")
-        dtype = index_dtype(max(self.n_rows, row_idx.size))
-        col_ptr = _narrow(col_ptr, dtype, "col_ptr entry")
-        row_idx = _narrow(row_idx, dtype, "row index")
-        slot = _narrow(slot, dtype, "slot")
-        for name, arr in (("col_ptr", col_ptr), ("row_idx", row_idx), ("slot", slot)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Pattern is immutable")
+        n_rows, n_cols, col_ptr, row_idx = _checked_structure(n_rows, n_cols, col_ptr, row_idx)
+        slot = _as_index_array(slot, "slot").ravel()
+        _check_indices(slot, row_idx.size, "slot")
+        self._store(n_rows, n_cols, col_ptr, row_idx, slot.astype(col_ptr.dtype, copy=False))
 
     @classmethod
     def from_triplets(cls, rows, cols, n_rows: int, n_cols: int) -> "Pattern":
@@ -247,11 +249,6 @@ class Pattern:
         row).  Slots depend only on the sorted distinct positions, not on
         the sort's stability; ``assemble_blocks`` sets the summation order."""
         return _sort_pattern(*_index_stream(rows, cols, n_rows, n_cols))
-
-    @property
-    def nnz(self) -> int:
-        """Number of structural nonzeros."""
-        return int(self.row_idx.size)
 
     def assemble_blocks(self, blocks) -> CscMatrix:
         """The matrix of this pattern's index stream and the value stream
@@ -281,9 +278,7 @@ class Pattern:
             raise ValueError(f"expected {self.slot.size} values, got {start}")
         kept = np.count_nonzero(sums)
         if kept == sums.size:  # no sum is exactly zero
-            return CscMatrix(
-                self.n_rows, self.n_cols, self.col_ptr, self.row_idx, sums, validate=False
-            )
+            return CscMatrix._trusted(self.n_rows, self.n_cols, self.col_ptr, self.row_idx, sums)
         # Davis's cs_fkeep, one block at a time: a block's kept sums move to
         # the front of ``sums``, never past the block being read
         dtype = index_dtype(max(self.n_rows, kept))
@@ -302,11 +297,10 @@ class Pattern:
         # no view of sums is alive, so the dropped tail is freed in place;
         # refcheck would also count a debugger's references, and refuse
         sums.resize(kept, refcheck=False)
-        return CscMatrix(self.n_rows, self.n_cols, col_ptr, row_idx, sums, validate=False)
+        return CscMatrix._trusted(self.n_rows, self.n_cols, col_ptr, row_idx, sums)
 
     def __repr__(self) -> str:
-        shape = (self.n_rows, self.n_cols)
-        return f"Pattern(shape={shape}, nnz={self.nnz}, triplets={self.slot.size})"
+        return f"Pattern(shape={self.shape}, nnz={self.nnz}, triplets={self.slot.size})"
 
 
 def _sort_pattern(rows, cols, n_rows: int, n_cols: int) -> Pattern:
@@ -319,10 +313,12 @@ def _sort_pattern(rows, cols, n_rows: int, n_cols: int) -> Pattern:
     head = np.ones(code.size, dtype=bool)  # head[0]: the first triplet opens a run
     np.not_equal(code[1:], code[:-1], out=head[1:])
     code = code[head]
-    slot = np.empty(order.size, dtype=index_dtype(max(n_rows, code.size)))
+    dtype = index_dtype(max(n_rows, code.size))
+    slot = np.empty(order.size, dtype=dtype)
     slot[order] = np.cumsum(head) - 1
     col_ptr = np.searchsorted(code, np.arange(n_cols + 1) * n_rows)  # j*n_rows opens column j
-    return Pattern(n_rows, n_cols, col_ptr, code % n_rows, slot)
+    row_idx = (code % n_rows).astype(dtype)
+    return Pattern._trusted(n_rows, n_cols, col_ptr.astype(dtype), row_idx, slot)
 
 
 def max_abs_diff(a: CscMatrix, b: CscMatrix) -> float:
@@ -409,14 +405,8 @@ class CscBuilder:
 
     def to_matrix(self) -> CscMatrix:
         """Snapshot as an immutable CscMatrix.  Explicit zeros are kept."""
-        return CscMatrix(
-            self.n_rows,
-            self.n_cols,
-            self._ja.copy(),
-            self._ia.copy(),
-            self._aa.copy(),
-            validate=False,
-        )
+        arrays = self._ja.copy(), self._ia.copy(), self._aa.copy()  # the matrix freezes its own
+        return CscMatrix(self.n_rows, self.n_cols, *arrays)
 
     def __repr__(self) -> str:
         return f"CscBuilder(shape=({self.n_rows}, {self.n_cols}), nnz={self.nnz})"

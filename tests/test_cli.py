@@ -110,6 +110,16 @@ def test_assemble_reports_bad_paths_and_params(tmp_path, capsys):
     assert "mu must be positive" in err
 
 
+@pytest.mark.parametrize("option, value", [("--lam", "inf"), ("--lam", "nan"), ("--mu", "inf")])
+def test_assemble_refuses_non_finite_lame_coefficients(tmp_path, capsys, option, value):
+    mesh_path = tmp_path / "mesh.txt"
+    write_mesh(generate_unit_square_mesh(2), mesh_path)
+    out = tmp_path / "e.mtx"
+    err = assemble_error(capsys, mesh_path, out, "--kind", "elastic", option, value)
+    assert f"femasm: error: {option[2:]} must be finite, got {value}" in err
+    assert not out.exists()
+
+
 def test_slopes_reports_a_missing_file(tmp_path, capsys):
     err = cli_error(capsys, "slopes", "--in", tmp_path / "missing.csv")
     assert "No such file or directory" in err and "missing.csv" in err

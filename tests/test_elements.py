@@ -143,6 +143,21 @@ class TestElasticParams:
         with pytest.raises(ValueError):
             ElasticParams(1.0, -2.0)
 
+    @pytest.mark.parametrize(
+        "lam, mu, message",
+        [
+            (np.inf, 1.0, "lam must be finite, got inf"),
+            (-np.inf, 1.0, "lam must be finite, got -inf"),
+            (np.nan, 1.0, "lam must be finite, got nan"),
+            (1.0, np.inf, "mu must be finite, got inf"),
+            (1.0, np.nan, "mu must be finite, got nan"),
+        ],
+    )
+    def test_refuses_non_finite_coefficients(self, lam, mu, message):
+        # inf passes lam + mu > 0 and mu > 0, and makes every elastic value inf or nan
+        with pytest.raises(ValueError, match=message):
+            ElasticParams(lam, mu)
+
 
 class TestElastic:
     def test_unit_right_triangle_table(self):

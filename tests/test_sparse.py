@@ -1,3 +1,4 @@
+import re
 import sys
 import warnings
 
@@ -206,12 +207,25 @@ class TestCscMatrix:
             with pytest.raises(ValueError, match=message):
                 CscMatrix(2, 1, col_ptr, row_idx, [3.0] * len(row_idx))
 
+    def test_ravels_values_as_it_ravels_indices(self):
+        a = CscMatrix(2, 1, [0, 2], [[0], [1]], [[1.0], [2.0]])
+        assert a.values.shape == a.row_idx.shape == (2,)
+        assert a.get(0, 0) == 1.0 and a.get(1, 0) == 2.0
+
+    def test_refuses_values_of_another_length(self):
+        with pytest.raises(ValueError, match="1 row indices but 2 values"):
+            CscMatrix(2, 1, [0, 1], [0], [1.0, 2.0])
+
+    def test_has_no_unchecked_switch(self):
+        with pytest.raises(TypeError):
+            CscMatrix(2, 1, [0, 1], [0], [1.0], validate=False)
+
     def test_unvalidated_arrays_still_refuse_fractions(self):
-        # validate=False skips the structure checks, not the index conversion
+        # the index conversion comes before the structure checks, col_ptr first
         with pytest.raises(ValueError, match="col_ptr entry 1.9 at position 1 is not an int64"):
-            CscMatrix(2, 1, [0, 1.9], [1.7], [3.0], validate=False)
+            CscMatrix(2, 1, [0, 1.9], [1.7], [3.0])
         with pytest.raises(ValueError, match="row index 1.7 at position 0 is not an int64"):
-            CscMatrix(2, 1, [0, 1], [1.7], [3.0], validate=False)
+            CscMatrix(2, 1, [0, 1], [1.7], [3.0])
 
 
 class TestIndexWidth:
@@ -279,7 +293,7 @@ class TestSizes:
         "build",
         [
             lambda n: CscMatrix(n, 1, [0, 0], [], []),
-            lambda n: CscMatrix(1, n, [0, 0, 0], [], [], validate=False),
+            lambda n: CscMatrix(1, n, [0, 0, 0], [], []),
             lambda n: CscBuilder(n, 2),
             lambda n: CscBuilder(2, n),
             lambda n: Pattern.from_triplets([0], [0], n, 2),
@@ -464,18 +478,18 @@ class TestPattern:
             (lambda: Pattern(3, 1, [0, 1], [2**32 + 2], [0]), "row index 4294967298 at position 0"),
             (lambda: Pattern(3, 1, [0, 1], [2], [2**32]), "slot 4294967296 at position 0"),
             (
-                lambda: CscMatrix(3, 1, [0, 1], [2**32 + 2], [1.0], validate=False),
+                lambda: CscMatrix(3, 1, [0, 1], [2**32 + 2], [1.0]),
                 "row index 4294967298 at position 0",
             ),
             (
-                lambda: CscMatrix(3, 1, [0, 2**32 + 1], [2], [1.0], validate=False),
+                lambda: CscMatrix(3, 1, [0, 2**32 + 1], [2], [1.0]),
                 "col_ptr entry 4294967297 at position 1",
             ),
         ],
     )
     def test_refuses_entries_beyond_the_index_width(self, build, message):
         # the int32 cast would wrap these to row 2, slot 0 and col_ptr entry 1
-        with pytest.raises(ValueError, match=f"{message} does not fit int32"):
+        with pytest.raises(ValueError, match=f"{message} out of range"):
             build()
 
     def test_keeps_an_int32_slot_map(self):
@@ -613,6 +627,106 @@ def assert_drop_matches_the_mask_drop(pattern, vals, piece):
     assert np.array_equal(a.values.view(np.int64), values.view(np.int64))
     owner = a.values if a.values.base is None else a.values.base
     assert owner.nbytes == 8 * a.nnz  # the dropped tail is not kept alive
+
+
+def corruptions(p: Pattern, draw) -> list:
+    """(col_ptr, row_idx, slot, message) for each single corruption of
+    ``p`` that its sizes allow, ``slot`` None when the corruption is in the
+    structure alone, and ``message`` naming the corrupted entry."""
+    col_ptr, row_idx, slot = (np.array(a) for a in (p.col_ptr, p.row_idx, p.slot))
+    m, n, nnz = p.n_rows, p.n_cols, p.nnz
+    cases = []
+    if slot.size:
+        k = draw(st.integers(0, slot.size - 1))
+        for bad in (-1, nnz):
+            s = slot.copy()
+            s[k] = bad
+            cases.append((col_ptr, row_idx, s, f"slot {bad} at position {k} out of range"))
+    if nnz:
+        k = draw(st.integers(0, nnz - 1))
+        r = row_idx.copy()
+        r[k] = m
+        cases.append((col_ptr, r, None, f"row index {m} at position {k} out of range [0, {m})"))
+    wide = np.flatnonzero(np.diff(col_ptr) >= 2).tolist()
+    if wide:
+        j = draw(st.sampled_from(wide))
+        a = draw(st.integers(col_ptr[j], col_ptr[j + 1] - 2))
+        b = draw(st.integers(a + 1, col_ptr[j + 1] - 1))
+        r = row_idx.copy()
+        r[[a, b]] = r[[b, a]]
+        # rows rise up to a, and the row at a + 1 is below the one moved to a
+        why = "does not increase within its column"
+        cases.append((col_ptr, r, None, f"row index {r[a + 1]} at position {a + 1} {why}"))
+    if n >= 2:
+        j = draw(st.integers(1, n - 1))
+        c = col_ptr.copy()
+        c[j] = c[j - 1] - 1
+        cases.append((c, row_idx, None, f"col_ptr entry {c[j]} at position {j} is below the last"))
+    for pos in (0, n):
+        c = col_ptr.copy()
+        c[pos] += draw(st.sampled_from([-1, 1]))
+        cases.append((c, row_idx, None, f"col_ptr entry {c[pos]} at position {pos} out of range"))
+    return cases
+
+
+class TestStructureGate:
+    """``Pattern(...)`` and ``CscMatrix(...)`` check every structure; the
+    symbolic and numeric phases store theirs unchecked, so each structure
+    they build must pass the same checks."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(stream=triplet_streams())
+    def test_accepts_what_the_phases_build(self, stream):
+        rows, cols, vals, m, n = stream
+        p = Pattern.from_triplets(rows, cols, m, n)
+        a = p.assemble_blocks((vals,))
+        for made, again, last in (
+            (p, Pattern(m, n, p.col_ptr, p.row_idx, p.slot), "slot"),
+            (a, CscMatrix(m, n, a.col_ptr, a.row_idx, a.values), "values"),
+        ):
+            assert again.shape == made.shape
+            for name in ("col_ptr", "row_idx", last):
+                x, y = getattr(made, name), getattr(again, name)
+                assert y.dtype == x.dtype and np.array_equal(y, x)
+                assert np.shares_memory(y, x) or x.size == 0  # nothing to share when empty
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(stream=triplet_streams(), data=st.data())
+    def test_refuses_each_single_corruption(self, stream, data):
+        rows, cols, _, m, n = stream
+        p = Pattern.from_triplets(rows, cols, m, n)
+        for col_ptr, row_idx, slot, message in corruptions(p, data.draw):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Pattern(m, n, col_ptr, row_idx, p.slot if slot is None else slot)
+            if slot is None:
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    CscMatrix(m, n, col_ptr, row_idx, np.ones(row_idx.size))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            # np.add.at would add slot -1 into the last position
+            (lambda: Pattern(3, 1, [0, 2], [0, 2], [-1, 0]), "slot -1 at position 0 out of range"),
+            # row 7 of a 3x1 matrix, which to_dense() cannot place
+            (lambda: Pattern(3, 1, [0, 1], [7], [0]), "row index 7 at position 0 out of range"),
+            # unsorted rows, where get(0, 0) would search past the stored 0
+            (
+                lambda: Pattern(3, 1, [0, 2], [2, 0], [0, 1]),
+                "row index 0 at position 1 does not increase within its column",
+            ),
+        ],
+    )
+    def test_refuses_corrupt_patterns(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_refuses_empty_sizes(self):
+        for build in (
+            lambda: CscMatrix(0, 1, [0, 0], [], []),
+            lambda: Pattern(1, 0, [0], [], []),
+        ):
+            with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+                build()
 
 
 class TestZeroDrop:
