@@ -106,7 +106,7 @@ def _checked_structure(n_rows, n_cols, col_ptr, row_idx) -> tuple:
     why = f"out of range: col_ptr must start at 0 and end at nnz = {nnz}"
     _refuse_first(col_ptr[:1] != 0, col_ptr, 0, "col_ptr entry", why)
     _refuse_first(col_ptr[-1:] != nnz, col_ptr, n_cols, "col_ptr entry", why)
-    _refuse_first(col_ptr[1:] < col_ptr[:-1], col_ptr, 1, "col_ptr entry", "is below the last")
+    _refuse_first(col_ptr[1:] < col_ptr[:-1], col_ptr, 1, "col_ptr entry", "decreases")
     _check_indices(row_idx, n_rows, "row index")
     cols = np.repeat(np.arange(n_cols), np.diff(col_ptr))
     falling = (row_idx[1:] <= row_idx[:-1]) & (cols[1:] == cols[:-1])

@@ -661,7 +661,7 @@ def corruptions(p: Pattern, draw) -> list:
         j = draw(st.integers(1, n - 1))
         c = col_ptr.copy()
         c[j] = c[j - 1] - 1
-        cases.append((c, row_idx, None, f"col_ptr entry {c[j]} at position {j} is below the last"))
+        cases.append((c, row_idx, None, f"col_ptr entry {c[j]} at position {j} decreases"))
     for pos in (0, n):
         c = col_ptr.copy()
         c[pos] += draw(st.sampled_from([-1, 1]))
