@@ -62,9 +62,7 @@ __all__ = [
     "batch_kg_stiff",
     "build_ig_jg_p1",
     "build_ig_jg_p1_vector",
-    "build_pattern_p1",
     "element_dofs",
-    "expand_pattern_p1_vector",
 ]
 
 class MatrixKind(Enum):
@@ -104,6 +102,19 @@ class AssemblyBudgetExceeded(RuntimeError):
         )
 
 
+# the named weights, at module level so that a WeightField pickles
+def _one(x, y):
+    return np.ones_like(x)
+
+
+def _linear(x, y):
+    return x + y
+
+
+def _quadratic(x, y):
+    return 1.0 + x * x + y * y
+
+
 @dataclass(frozen=True)
 class WeightField:
     """A scalar field sampled at mesh vertices; ``evaluate`` must accept
@@ -114,16 +125,16 @@ class WeightField:
 
     @staticmethod
     def one() -> "WeightField":
-        return WeightField("one", lambda x, y: np.ones_like(x))
+        return WeightField("one", _one)
 
     @staticmethod
     def linear() -> "WeightField":
-        return WeightField("linear", lambda x, y: x + y)
+        return WeightField("linear", _linear)
 
     @staticmethod
     def quadratic() -> "WeightField":
         """Default benchmark weight: smooth, positive, cheap."""
-        return WeightField("quadratic", lambda x, y: 1.0 + x * x + y * y)
+        return WeightField("quadratic", _quadratic)
 
     @staticmethod
     def by_name(name: str) -> "WeightField":

@@ -27,6 +27,7 @@ import platform
 import statistics
 import time
 from dataclasses import dataclass, fields, replace
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -86,6 +87,9 @@ def default_metadata(time_budget_s: float, repetitions: int) -> dict:
     return {
         "version": __version__,
         "machine": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "timer": "time.perf_counter",
         "cpu_count": os.cpu_count() or 1,
         "threads": 1,  # all kernels are single-threaded
         "time_budget_s": time_budget_s,
@@ -167,6 +171,8 @@ def run_bench(
     ``sizes`` are the per-side cell counts of the structured unit-square
     meshes, in ascending order.  Runs are strictly sequential.
     """
+    sizes = [index(n) for n in sizes]
+    repetitions = index(repetitions)
     kinds = list(kinds)
     strategies = list(strategies)
     if not sizes:

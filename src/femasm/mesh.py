@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from itertools import islice
+from operator import index
 
 import numpy as np
 
@@ -146,6 +147,10 @@ class Mesh:
     def __setattr__(self, name, value):
         raise AttributeError("Mesh is immutable")
 
+    def __reduce__(self):
+        """Copy and pickle rebuild through ``Mesh``; the patterns are rebuilt on first use."""
+        return Mesh, (self.vertices, self.connectivity)
+
     @property
     def nq(self) -> int:
         return self.vertices.shape[0]
@@ -192,6 +197,7 @@ def generate_unit_square_mesh(n: int) -> Mesh:
     Each grid cell is split along its diagonal, giving nq = (n+1)^2
     vertices and nme = 2 n^2 triangles, all of area 1/(2 n^2).
     """
+    n = index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     side = np.linspace(0.0, 1.0, n + 1)
@@ -215,6 +221,7 @@ def generate_disk_mesh(n: int) -> Mesh:
     angular order.  nq = 1 + 3 n (n+1), nme = 6 n^2, and the total area
     tends to pi as n grows.
     """
+    n = index(n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     points = [(0.0, 0.0)]

@@ -83,6 +83,11 @@ class _Csc:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        """Copy and pickle rebuild through the checked public constructor."""
+        names = _Csc.__slots__ + type(self).__slots__
+        return type(self), tuple(getattr(self, name) for name in names)
+
     @property
     def nnz(self) -> int:
         return int(self.row_idx.size)

@@ -1,4 +1,5 @@
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -227,3 +228,29 @@ class TestRunBench:
         with pytest.raises(ValueError, match="time budget must be finite and > 0 seconds"):
             run_bench([MatrixKind.MASS], [Strategy.OPTV2], [4], 3, out, time_budget_s=budget)
         assert not out.exists()
+
+
+class TestRunBenchSizes:
+    """Sizes and repetitions convert through ``operator.index`` before any
+    other check, and before ``--out`` is opened."""
+
+    @pytest.mark.parametrize("sizes, repetitions", [([2.5], 3), ([2], 3.5), ([2, 2.5], 3)])
+    def test_refuses_fractions_before_opening_the_output(self, tmp_path, sizes, repetitions):
+        out = tmp_path / "r.csv"
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            run_bench([MatrixKind.MASS], [Strategy.OPTV2], sizes, repetitions, out)
+        assert not out.exists()
+
+    def test_accepts_numpy_integers(self):
+        (rec,) = run_bench([MatrixKind.MASS], [Strategy.OPTV2], [np.int64(3)], np.int64(3), None)
+        assert rec.ok and rec.nq == 16 and rec.repetitions == 3
+        assert type(rec.repetitions) is int
+
+
+def test_csv_records_numpy_python_and_timer(tmp_path):
+    out = tmp_path / "r.csv"
+    run_bench([MatrixKind.MASS], [Strategy.OPTV2], [2], 3, out)
+    lines = out.read_text().splitlines()
+    assert f"# numpy: {np.__version__}" in lines
+    assert f"# python: {platform.python_version()}" in lines
+    assert "# timer: time.perf_counter" in lines

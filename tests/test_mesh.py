@@ -574,3 +574,16 @@ class TestMeshFileErrorFuzz:
             with pytest.raises(MeshFormatError) as exc:
                 read_mesh(path)
         assert exc.value.line_no == line_no
+
+
+class TestGeneratorSizes:
+    """Sizes convert through ``operator.index`` before anything else."""
+
+    @pytest.mark.parametrize("generate", [generate_unit_square_mesh, generate_disk_mesh])
+    def test_refuses_a_fractional_size(self, generate):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            generate(2.5)
+
+    @pytest.mark.parametrize("generate", [generate_unit_square_mesh, generate_disk_mesh])
+    def test_accepts_a_numpy_integer(self, generate):
+        assert generate(np.int64(3)) == generate(3)
