@@ -14,6 +14,7 @@ views: they check their input and return the matrix as an array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, isfinite
 
 import numpy as np
 
@@ -132,10 +133,7 @@ class ElasticParams:
     mu: float
 
     def __post_init__(self):
-        lam, mu = float(self.lam), float(self.mu)
-        for name, value in (("lam", lam), ("mu", mu)):
-            if not np.isfinite(value):  # first, so NaN is named here, not by lam + mu > 0
-                raise ValueError(f"{name} must be finite, got {value:g}")
+        [lam], [mu] = _finite("lam", self.lam), _finite("mu", self.mu)  # NaN named here, not below
         if not lam + mu > 0.0:
             raise ValueError(f"lam + mu must be positive, got {lam + mu:g}")
         if not mu > 0.0:
@@ -144,16 +142,24 @@ class ElasticParams:
         object.__setattr__(self, "mu", mu)
 
 
+def _finite(what: str, *values) -> list[float]:
+    values = list(map(float, values))
+    if all(map(isfinite, values)):
+        return values
+    bad = next(v for v in values if not isfinite(v))
+    raise ValueError(f"{what} must be finite, got {bad:g}")
+
+
 def _check_area(area: float) -> float:
     area = float(area)
-    if not area > AREA_EPS:
-        raise ValueError(f"triangle area must be positive, got {area:g}")
+    if not AREA_EPS < area < inf:  # NaN fails too
+        raise ValueError(f"triangle area must be positive and finite, got {area:g}")
     return area
 
 
 def _corners(p1, p2, p3) -> list[float]:
     (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
-    return [float(x1), float(y1), float(x2), float(y2), float(x3), float(y3)]
+    return _finite("corner coordinate", x1, y1, x2, y2, x3, y3)
 
 
 def _view(fill, n: int, *args) -> np.ndarray:
@@ -170,7 +176,7 @@ def elem_mass(area: float) -> np.ndarray:
 
 def elem_mass_weighted(area: float, w1: float, w2: float, w3: float) -> np.ndarray:
     """3x3 element mass matrix with vertex weights (``fill_mass_weighted``)."""
-    return _view(fill_mass_weighted, 3, _check_area(area), float(w1), float(w2), float(w3))
+    return _view(fill_mass_weighted, 3, _check_area(area), *_finite("weight", w1, w2, w3))
 
 
 def elem_stiff(p1, p2, p3, area: float) -> np.ndarray:

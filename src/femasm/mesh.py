@@ -2,9 +2,9 @@
 
 A mesh is a set of vertices, a triangle connectivity table (0-based
 internally) and the precomputed triangle areas.  Meshes are immutable
-after construction; the backing arrays are marked read-only so they can
-be shared freely between threads.  A mesh also keeps the sparsity
-patterns of its P1 matrices once they are first asked for.
+after construction; a mesh owns read-only copies of the arrays it was
+given, so they can be shared freely between threads.  A mesh also keeps
+the sparsity patterns of its P1 matrices once they are first asked for.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from operator import index
 
 import numpy as np
 
-from .sparse import Pattern, _as_index_array, _check_indices, write_lines
+from .sparse import Pattern, _as_index_array, _check_indices, _Frozen, write_lines
 
 __all__ = [
     "AREA_EPS",
@@ -94,8 +94,8 @@ def compute_areas(vertices: np.ndarray, connectivity: np.ndarray) -> np.ndarray:
     return areas
 
 
-class Mesh:
-    """Immutable 2D triangulation.
+class Mesh(_Frozen):
+    """Immutable 2D triangulation; it owns read-only copies of its arrays.
 
     Attributes
     ----------
@@ -109,10 +109,11 @@ class Mesh:
     """
 
     __slots__ = ("vertices", "connectivity", "areas", "_pattern", "_vector_pattern")
+    _args = __slots__[:2]  # the patterns are rebuilt on first use
 
     def __init__(self, vertices, connectivity):
-        vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-        connectivity = _as_index_array(connectivity, "vertex index").astype(np.int64, copy=False)
+        vertices = np.array(vertices, dtype=np.float64, order="C")
+        connectivity = _as_index_array(connectivity, "vertex index").astype(np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise ValueError(f"vertices must have shape (nq, 2), got {vertices.shape}")
         if connectivity.ndim != 2 or connectivity.shape[1] != 3:
@@ -136,20 +137,7 @@ class Mesh:
             raise InvalidMeshError("triangle with repeated vertex indices", triangle=bad[0])
 
         areas = compute_areas(vertices, connectivity)  # also refuses indices out of range
-        for arr in (vertices, connectivity, areas):
-            arr.flags.writeable = False
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "connectivity", connectivity)
-        object.__setattr__(self, "areas", areas)
-        object.__setattr__(self, "_pattern", None)
-        object.__setattr__(self, "_vector_pattern", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mesh is immutable")
-
-    def __reduce__(self):
-        """Copy and pickle rebuild through ``Mesh``; the patterns are rebuilt on first use."""
-        return Mesh, (self.vertices, self.connectivity)
+        self._store(vertices, connectivity, areas, None, None)
 
     @property
     def nq(self) -> int:
@@ -180,11 +168,8 @@ class Mesh:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mesh):
             return NotImplemented
-        return (
-            self.vertices.shape == other.vertices.shape
-            and self.connectivity.shape == other.connectivity.shape
-            and bool(np.all(self.vertices == other.vertices))
-            and bool(np.all(self.connectivity == other.connectivity))
+        return np.array_equal(self.vertices, other.vertices) and np.array_equal(
+            self.connectivity, other.connectivity
         )
 
     def __repr__(self) -> str:

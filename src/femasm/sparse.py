@@ -58,12 +58,34 @@ def index_dtype(bound: int) -> type:
     return np.int32 if bound < 2**31 else np.int64
 
 
-class _Csc:
+class _Frozen:
+    """An immutable value that owns its arrays.  ``_store`` sets the fields,
+    in slot order from the base class down, and freezes each array; a public
+    constructor stores only arrays it allocated.  Copy and pickle rebuild the
+    value through that constructor, from the fields that ``_args`` names."""
+
+    __slots__ = ()
+
+    def _store(self, *fields):
+        names = [n for cls in type(self).__mro__[::-1] for n in vars(cls).get("__slots__", ())]
+        for name, value in zip(names, fields, strict=True):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._args)
+
+
+class _Csc(_Frozen):
     """The CSC structure of ``CscMatrix`` and ``Pattern``: ``col_ptr``
     (n_cols+1) and ``row_idx`` (nnz, column-major, rows strictly increasing
     within each column), read-only, of ``index_dtype(max(n_rows, nnz))``.
-    Their constructors check it with ``_checked_structure``; code whose
-    arrays already pass those checks stores them through ``_trusted``."""
+    Their constructors check and copy it with ``_checked_structure``; the
+    phases store arrays they built, which pass those checks, through ``_trusted``."""
 
     __slots__ = ("n_rows", "n_cols", "col_ptr", "row_idx")
 
@@ -73,20 +95,6 @@ class _Csc:
         self = object.__new__(cls)
         self._store(*fields)
         return self
-
-    def _store(self, *fields):
-        for name, value in zip(_Csc.__slots__ + type(self).__slots__, fields):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        """Copy and pickle rebuild through the checked public constructor."""
-        names = _Csc.__slots__ + type(self).__slots__
-        return type(self), tuple(getattr(self, name) for name in names)
 
     @property
     def nnz(self) -> int:
@@ -98,7 +106,7 @@ class _Csc:
 
 
 def _checked_structure(n_rows, n_cols, col_ptr, row_idx) -> tuple:
-    """(n_rows, n_cols, col_ptr, row_idx) checked, then cast to the index
+    """(n_rows, n_cols, col_ptr, row_idx) checked, then copied at the index
     width, so an entry that the cast would wrap is refused as out of range."""
     n_rows, n_cols = index(n_rows), index(n_cols)
     if n_rows < 1 or n_cols < 1:
@@ -117,17 +125,18 @@ def _checked_structure(n_rows, n_cols, col_ptr, row_idx) -> tuple:
     falling = (row_idx[1:] <= row_idx[:-1]) & (cols[1:] == cols[:-1])
     _refuse_first(falling, row_idx, 1, "row index", "does not increase within its column")
     dtype = index_dtype(max(n_rows, nnz))
-    return n_rows, n_cols, col_ptr.astype(dtype, copy=False), row_idx.astype(dtype, copy=False)
+    return n_rows, n_cols, col_ptr.astype(dtype), row_idx.astype(dtype)
 
 
 class CscMatrix(_Csc):
     """Immutable CSC matrix: the ``_Csc`` structure and one value per position."""
 
     __slots__ = ("values",)
+    _args = _Csc.__slots__ + __slots__
 
     def __init__(self, n_rows, n_cols, col_ptr, row_idx, values):
         n_rows, n_cols, col_ptr, row_idx = _checked_structure(n_rows, n_cols, col_ptr, row_idx)
-        values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+        values = np.array(values, dtype=np.float64).ravel()
         if values.size != row_idx.size:
             raise ValueError(f"{row_idx.size} row indices but {values.size} values")
         self._store(n_rows, n_cols, col_ptr, row_idx, values)
@@ -241,12 +250,13 @@ class Pattern(_Csc):
     """
 
     __slots__ = ("slot",)
+    _args = _Csc.__slots__ + __slots__
 
     def __init__(self, n_rows, n_cols, col_ptr, row_idx, slot):
         n_rows, n_cols, col_ptr, row_idx = _checked_structure(n_rows, n_cols, col_ptr, row_idx)
         slot = _as_index_array(slot, "slot").ravel()
         _check_indices(slot, row_idx.size, "slot")
-        self._store(n_rows, n_cols, col_ptr, row_idx, slot.astype(col_ptr.dtype, copy=False))
+        self._store(n_rows, n_cols, col_ptr, row_idx, slot.astype(col_ptr.dtype))
 
     @classmethod
     def from_triplets(cls, rows, cols, n_rows: int, n_cols: int) -> "Pattern":
@@ -410,8 +420,7 @@ class CscBuilder:
 
     def to_matrix(self) -> CscMatrix:
         """Snapshot as an immutable CscMatrix.  Explicit zeros are kept."""
-        arrays = self._ja.copy(), self._ia.copy(), self._aa.copy()  # the matrix freezes its own
-        return CscMatrix(self.n_rows, self.n_cols, *arrays)
+        return CscMatrix(self.n_rows, self.n_cols, self._ja, self._ia, self._aa)
 
     def __repr__(self) -> str:
         return f"CscBuilder(shape=({self.n_rows}, {self.n_cols}), nnz={self.nnz})"

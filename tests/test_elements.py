@@ -53,7 +53,7 @@ class TestMass:
             assert np.linalg.eigvalsh(elem_mass(area)).min() > 0
 
     def test_rejects_nonpositive_area(self):
-        for area in (0.0, -1.0):
+        for area in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 elem_mass(area)
 
@@ -91,8 +91,13 @@ class TestWeightedMass:
             assert (e >= 0).all()
 
     def test_rejects_nonpositive_area(self):
-        with pytest.raises(ValueError):
-            elem_mass_weighted(-0.5, 1, 1, 1)
+        for area in (-0.5, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                elem_mass_weighted(area, 1, 1, 1)
+
+    def test_refuses_a_non_finite_weight(self):
+        with pytest.raises(ValueError, match="weight must be finite, got nan"):
+            elem_mass_weighted(0.5, np.nan, 1, 1)
 
 
 class TestStiffness:
@@ -123,6 +128,10 @@ class TestStiffness:
             mine = elem_stiff(p1, p2, p3, area)
             ref = oracles.stiffness_matrix(p1, p2, p3)
             assert np.abs(mine - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_refuses_a_non_finite_corner(self):
+        with pytest.raises(ValueError, match="corner coordinate must be finite, got nan"):
+            elem_stiff((0, 0), (1, 0), (0, np.nan), 0.5)
 
     def test_kernel_is_constants(self):
         rng = np.random.default_rng(7)

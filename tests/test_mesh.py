@@ -163,6 +163,16 @@ class TestMeshValidation:
         with pytest.raises(ValueError):
             m.vertices[0, 0] = 3.0
 
+    def test_owns_copies_of_its_arrays(self):
+        v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        c = np.array([[0, 1, 2]], dtype=np.int64)
+        m = Mesh(v, c)
+        assert v.flags.writeable and c.flags.writeable
+        v[2] = [5.0, 5.0]
+        c[0] = [0, 2, 1]
+        assert m.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert m.connectivity.tolist() == [[0, 1, 2]] and m.areas.tolist() == [0.5]
+
 
 class TestMeshIO:
     def test_round_trip_square(self, tmp_path):

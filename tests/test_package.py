@@ -65,6 +65,7 @@ def _assert_same_arrays(a, b, names):
             assert x.dtype == y.dtype and x.shape == y.shape, name
             assert x.tobytes() == y.tobytes(), name
             assert not y.flags.writeable, name
+            assert not np.shares_memory(x, y), name  # copy too goes through the constructor
         else:
             assert type(x) is type(y) and x == y, name
 

@@ -228,6 +228,30 @@ class TestCscMatrix:
             CscMatrix(2, 1, [0, 1], [1.7], [3.0])
 
 
+class TestOwnsItsArrays:
+    """A public constructor stores copies of the arrays it is given: they
+    stay writable, and editing them afterwards changes no stored field."""
+
+    def test_csc_matrix(self):
+        cp, ri = np.array([0, 1, 2], dtype=np.int32), np.array([0, 1], dtype=np.int32)
+        v = np.array([1.0, 2.0])
+        m = CscMatrix(2, 2, cp, ri, v)
+        assert cp.flags.writeable and ri.flags.writeable and v.flags.writeable
+        v[0] = 99.0
+        assert m.get(0, 0) == 1.0 and m.values.tolist() == [1.0, 2.0]
+        cp[1] = 2  # would move entry (1, 1) to (1, 0), past the structure check
+        assert m.col_ptr.tolist() == [0, 1, 2] and m.get(1, 1) == 2.0 and m.get(1, 0) == 0.0
+        ri[1] = 0
+        assert m.row_idx.tolist() == [0, 1]
+
+    def test_pattern(self):
+        slot = np.array([0, 1], dtype=np.int32)
+        p = Pattern(2, 2, [0, 1, 2], [0, 1], slot)
+        assert slot.flags.writeable
+        slot[0] = 7  # a slot past nnz = 2
+        assert p.slot.tolist() == [0, 1]
+
+
 class TestIndexWidth:
     """Every sparse structure is int32 while its indices and offsets fit,
     int64 beyond; the large cases hold one entry, so nothing large is
@@ -496,8 +520,9 @@ class TestPattern:
         p = Pattern.from_triplets(EX_I, EX_J, 3, 4)
         assert p.slot.dtype == np.int32
         q = Pattern(3, 4, p.col_ptr, p.row_idx, p.slot)
-        assert q.slot.dtype == np.int32 and np.shares_memory(q.slot, p.slot)
-        assert np.shares_memory(q.col_ptr, p.col_ptr) and np.shares_memory(q.row_idx, p.row_idx)
+        assert q.slot.dtype == np.int32 and not np.shares_memory(q.slot, p.slot)
+        assert not np.shares_memory(q.col_ptr, p.col_ptr)
+        assert not np.shares_memory(q.row_idx, p.row_idx)
 
     def test_duplicates_share_a_slot_in_input_order(self):
         p = Pattern.from_triplets([1, 0, 1], [0, 0, 0], 2, 1)
@@ -680,6 +705,8 @@ class TestStructureGate:
         rows, cols, vals, m, n = stream
         p = Pattern.from_triplets(rows, cols, m, n)
         a = p.assemble_blocks((vals,))
+        if a.nnz == p.nnz:  # no sum dropped: the numeric phase copies no structure
+            assert a.col_ptr is p.col_ptr and a.row_idx is p.row_idx
         for made, again, last in (
             (p, Pattern(m, n, p.col_ptr, p.row_idx, p.slot), "slot"),
             (a, CscMatrix(m, n, a.col_ptr, a.row_idx, a.values), "values"),
@@ -688,7 +715,7 @@ class TestStructureGate:
             for name in ("col_ptr", "row_idx", last):
                 x, y = getattr(made, name), getattr(again, name)
                 assert y.dtype == x.dtype and np.array_equal(y, x)
-                assert np.shares_memory(y, x) or x.size == 0  # nothing to share when empty
+                assert not np.shares_memory(y, x)  # the public constructors copy
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(stream=triplet_streams(), data=st.data())
