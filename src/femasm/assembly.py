@@ -167,13 +167,16 @@ def _corner_coords(mesh: Mesh, block: slice) -> list[np.ndarray]:
 
 
 def element_dofs(connectivity: np.ndarray, vector: bool) -> np.ndarray:
-    """Global degrees of freedom of every triangle, (nme, 3) for the
-    scalar kinds and (nme, 6) for the vector-valued one, whose local
-    ordering interleaves (2*i1, 2*i1+1, 2*i2, 2*i2+1, 2*i3, 2*i3+1)."""
+    """Global degrees of freedom of every triangle of the (nme, 3)
+    ``connectivity``, nme >= 0: (nme, 3) for the scalar kinds and (nme, 6)
+    for the vector-valued one, whose local ordering interleaves
+    (2*i1, 2*i1+1, 2*i2, 2*i2+1, 2*i3, 2*i3+1)."""
     dofs = _as_index_array(connectivity, "vertex index")
+    if dofs.ndim != 2 or dofs.shape[1] != 3:
+        raise ValueError(f"connectivity must have shape (nme, 3), got {dofs.shape}")
     if vector:
         dofs = (2 * dofs[:, :, None] + (0, 1)).reshape(dofs.shape[0], 6)
-    return dofs.astype(index_dtype(dofs.max()))
+    return dofs.astype(index_dtype(dofs.max(initial=0)))
 
 
 def _ig_jg(dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,6 +328,11 @@ def _kernels(mesh: Mesh, kind: MatrixKind, weight, params):
             lambda b: batch_kg_elastic(mesh, params, b))
 
 
+def _check_budget(seconds: float) -> None:
+    if not 0 < seconds < float("inf"):  # NaN fails too
+        raise ValueError(f"time budget must be finite and > 0 seconds, got {seconds}")
+
+
 def _triangles(n_elements: int, seconds: Optional[float]):
     """range(n_elements) for the element loops, with a cooperative deadline
     checked once per triangle."""
@@ -390,20 +398,24 @@ def assemble(
 ) -> CscMatrix:
     """Assemble the global matrix of ``kind`` over ``mesh``.
 
-    ``weight`` is required for WEIGHTED_MASS, ``params`` for ELASTIC.
-    ``budget_s`` is a cooperative wall-clock limit honored by the
-    element-loop strategies (CLASSICAL, OPTV0, OPTV1); on expiry
-    AssemblyBudgetExceeded is raised.  The batched strategy runs to
-    completion regardless.
+    ``kind`` and ``strategy`` are each a member of ``MatrixKind`` and
+    ``Strategy`` or its value (``"stiff"``, ``"classical"``); anything
+    else raises ValueError.  ``weight`` is required for WEIGHTED_MASS,
+    ``params`` for ELASTIC, and each is ignored by the other kinds.
+    ``budget_s``, when given, is a finite number of seconds above 0: a
+    cooperative wall-clock limit honored by the element-loop strategies
+    (CLASSICAL, OPTV0, OPTV1); on expiry AssemblyBudgetExceeded is
+    raised.  The batched strategy runs to completion regardless.
 
     The result is n x n with n = nq (scalar kinds) or 2*nq (elastic);
     the four strategies give the same values bit for bit.
     """
+    kind, strategy = MatrixKind(kind), Strategy(strategy)
+    if budget_s is not None:
+        _check_budget(budget_s)
     elem, kernel = _kernels(mesh, kind, weight, params)
-    if strategy is Strategy.CLASSICAL:
-        return _assemble_incremental(mesh, kind, elem, False, budget_s)
-    if strategy is Strategy.OPTV0:
-        return _assemble_incremental(mesh, kind, elem, True, budget_s)
+    if strategy is Strategy.OPTV2:
+        return _assemble_batched(mesh, kind, kernel)
     if strategy is Strategy.OPTV1:
         return _assemble_triplet_loop(mesh, kind, elem, budget_s)
-    return _assemble_batched(mesh, kind, kernel)
+    return _assemble_incremental(mesh, kind, elem, strategy is Strategy.OPTV0, budget_s)

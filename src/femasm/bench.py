@@ -38,6 +38,7 @@ from .assembly import (
     MatrixKind,
     Strategy,
     WeightField,
+    _check_budget,
     assemble,
 )
 from .elements import ElasticParams
@@ -100,14 +101,6 @@ def default_metadata(time_budget_s: float, repetitions: int) -> dict:
     }
 
 
-def _bench_args(kind: MatrixKind) -> dict:
-    if kind is MatrixKind.WEIGHTED_MASS:
-        return {"weight": WeightField.quadratic()}
-    if kind is MatrixKind.ELASTIC:
-        return {"params": ElasticParams(1.0, 1.0)}
-    return {}
-
-
 def _time_cell(
     mesh: Mesh,
     kind: MatrixKind,
@@ -117,14 +110,14 @@ def _time_cell(
     long_run_s: float,
 ) -> BenchRecord:
     """One cell, timed by the protocol in the module docstring."""
-    kwargs = _bench_args(kind)
     cell = _cell_fields(mesh, kind, strategy)
+    weight, params = WeightField.quadratic(), ElasticParams(1.0, 1.0)
     times: list[float] = []
     for rep in range(repetitions + 1):  # rep 0 is the warm-up
         fresh = Mesh(mesh.vertices, mesh.connectivity)
         t0 = time.perf_counter()
         try:
-            assemble(fresh, kind, strategy, budget_s=time_budget_s, **kwargs)
+            assemble(fresh, kind, strategy, weight=weight, params=params, budget_s=time_budget_s)
         except AssemblyBudgetExceeded as exc:
             return BenchRecord(
                 **cell,
@@ -168,21 +161,24 @@ def run_bench(
 ) -> list[BenchRecord]:
     """Time every (kind, strategy, size) cell and optionally write a CSV.
 
-    ``sizes`` are the per-side cell counts of the structured unit-square
-    meshes, in ascending order.  Runs are strictly sequential.
+    Each of ``kinds`` and ``strategies`` is a member of ``MatrixKind`` or
+    ``Strategy`` or its value.  ``sizes`` are the per-side cell counts of
+    the structured unit-square meshes, positive and ascending.  Runs are
+    strictly sequential.
     """
     sizes = [index(n) for n in sizes]
     repetitions = index(repetitions)
-    kinds = list(kinds)
-    strategies = list(strategies)
+    kinds = [MatrixKind(kind) for kind in kinds]
+    strategies = [Strategy(strategy) for strategy in strategies]
     if not sizes:
         raise ValueError("sizes must be nonempty")
+    if min(sizes) < 1:
+        raise ValueError(f"sizes must be positive, got {min(sizes)}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
     if repetitions < 3:
         raise ValueError(f"repetitions must be >= 3, got {repetitions}")
-    if not 0 < time_budget_s < float("inf"):  # NaN fails too
-        raise ValueError(f"time budget must be finite and > 0 seconds, got {time_budget_s}")
+    _check_budget(time_budget_s)
     if output_path is not None:
         # an unwritable path fails here, before any cell is timed; mode "a"
         # creates a missing file and leaves an existing one as it is

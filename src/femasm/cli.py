@@ -21,35 +21,28 @@ from .elements import ElasticParams
 from .mesh import read_mesh
 from .sparse import write_matrix_market
 
-_KINDS = {k.value: k for k in MatrixKind}
-_STRATEGIES = {s.value: s for s in Strategy}
 
+def _members(enum, what: str, many: bool = False):
+    """argparse type: the member of ``enum`` whose value the text names or,
+    with ``many``, the list of members a comma separated text names."""
 
-def _parse_kinds(text: str) -> list[MatrixKind]:
-    return [_lookup(_KINDS, name, "kind") for name in text.split(",")]
+    def member(name: str):
+        try:
+            return enum(name.strip().lower())
+        except ValueError:
+            choices = ", ".join(sorted(m.value for m in enum))
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {name!r}; choose from {choices}"
+            ) from None
 
-
-def _parse_strategies(text: str) -> list[Strategy]:
-    return [_lookup(_STRATEGIES, name, "strategy") for name in text.split(",")]
-
-
-def _lookup(table: dict, name: str, what: str):
-    name = name.strip().lower()
-    if name not in table:
-        raise argparse.ArgumentTypeError(
-            f"unknown {what} {name!r}; choose from {', '.join(sorted(table))}"
-        )
-    return table[name]
+    return (lambda text: [member(name) for name in text.split(",")]) if many else member
 
 
 def _parse_sizes(text: str) -> list[int]:
     try:
-        sizes = [int(s) for s in text.split(",")]
+        return [int(s) for s in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid size list {text!r}") from None
-    if not sizes or any(s < 1 for s in sizes):
-        raise argparse.ArgumentTypeError("sizes must be positive integers")
-    return sizes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,8 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bench", help="time assembly strategies over square meshes")
-    b.add_argument("--kinds", type=_parse_kinds, default=list(MatrixKind))
-    b.add_argument("--strategies", type=_parse_strategies, default=list(Strategy))
+    b.add_argument(
+        "--kinds", type=_members(MatrixKind, "kind", many=True), default=list(MatrixKind)
+    )
+    b.add_argument(
+        "--strategies", type=_members(Strategy, "strategy", many=True), default=list(Strategy)
+    )
     b.add_argument(
         "--square-sizes",
         type=_parse_sizes,
@@ -73,12 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("assemble", help="assemble one matrix and export it")
     a.add_argument("--mesh", required=True)
-    a.add_argument("--kind", type=lambda s: _lookup(_KINDS, s, "kind"), required=True)
-    a.add_argument(
-        "--strategy",
-        type=lambda s: _lookup(_STRATEGIES, s, "strategy"),
-        default=Strategy.OPTV2,
-    )
+    a.add_argument("--kind", type=_members(MatrixKind, "kind"), required=True)
+    a.add_argument("--strategy", type=_members(Strategy, "strategy"), default=Strategy.OPTV2)
     a.add_argument("--out", required=True)
     a.add_argument("--weight", default="quadratic", help="one | linear | quadratic")
     a.add_argument("--lam", type=float, default=1.0)
@@ -106,13 +99,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    kwargs = {}
-    if args.kind is MatrixKind.WEIGHTED_MASS:
-        kwargs["weight"] = WeightField.by_name(args.weight)
-    elif args.kind is MatrixKind.ELASTIC:
-        kwargs["params"] = ElasticParams(args.lam, args.mu)
+    weight, params = WeightField.by_name(args.weight), ElasticParams(args.lam, args.mu)
     # no name holds the mesh, so it and its cached pattern are freed before the write
-    matrix = assemble(read_mesh(args.mesh), args.kind, args.strategy, **kwargs)
+    matrix = assemble(read_mesh(args.mesh), args.kind, args.strategy, weight=weight, params=params)
     write_matrix_market(matrix, args.out)
     print(f"wrote {args.out}: {matrix.shape[0]}x{matrix.shape[1]}, nnz={matrix.nnz}")
     return 0

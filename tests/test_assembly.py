@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -85,6 +86,18 @@ class TestIndexBatches:
             build(np.array([[0, 1.7, 2]]))
         ig, jg = build(np.array([[5.0, 7.0, 9.0]]))
         assert np.array_equal(ig, build(np.array([[5, 7, 9]]))[0])
+
+    @pytest.mark.parametrize("vector, width", [(False, 3), (True, 6)])
+    def test_no_triangles_give_no_dofs(self, vector, width):
+        dofs = femasm.assembly.element_dofs(np.zeros((0, 3), dtype=np.int64), vector)
+        assert dofs.shape == (0, width)
+
+    @pytest.mark.parametrize("conn", [[0, 1, 2], [[0, 1, 2, 3]], [[[0], [1], [2]]]])
+    @pytest.mark.parametrize("build", [build_ig_jg_p1, build_ig_jg_p1_vector])
+    def test_refuses_a_connectivity_not_of_shape_nme_by_3(self, build, conn):
+        shape = np.shape(conn)
+        with pytest.raises(ValueError, match=rf"shape \(nme, 3\), got {re.escape(str(shape))}"):
+            build(np.array(conn))
 
     def test_vector_shape_and_pattern(self):
         conn = generate_unit_square_mesh(2).connectivity
@@ -322,10 +335,34 @@ class TestAssemble:
     def test_budget_abort(self):
         mesh = generate_unit_square_mesh(16)
         with pytest.raises(AssemblyBudgetExceeded) as exc:
-            assemble(mesh, MatrixKind.MASS, Strategy.CLASSICAL, budget_s=0.0)
+            assemble(mesh, MatrixKind.MASS, Strategy.CLASSICAL, budget_s=1e-9)
         assert exc.value.elements_done < mesh.nme
         with pytest.raises(AssemblyBudgetExceeded):
-            assemble(mesh, MatrixKind.MASS, Strategy.OPTV1, budget_s=0.0)
+            assemble(mesh, MatrixKind.MASS, Strategy.OPTV1, budget_s=1e-9)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("budget", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_refuses_a_budget_that_is_not_finite_and_positive(self, strategy, budget):
+        mesh = generate_unit_square_mesh(2)
+        with pytest.raises(ValueError, match="time budget must be finite and > 0 seconds"):
+            assemble(mesh, MatrixKind.MASS, strategy, budget_s=budget)
+
+    def test_names_run_the_strategy_and_kind_they_name(self):
+        # the square's diagonal edges cancel to exact zeros, which only the
+        # incremental strategies keep, so optv2's matrix would differ here
+        mesh = generate_unit_square_mesh(20)
+        by_member = assemble(mesh, MatrixKind.STIFFNESS, Strategy.CLASSICAL)
+        assert by_member.nnz == 2921
+        assert_bit_identical(assemble(mesh, MatrixKind.STIFFNESS, "classical"), by_member)
+        assert_bit_identical(assemble(mesh, "stiff", Strategy.CLASSICAL), by_member)
+
+    @pytest.mark.parametrize(
+        "kind, strategy",
+        [("stiff", None), ("stiff", 3), ("stiff", "bogus"), ("stiff", "OPTV2"), ("nope", "optv2")],
+    )
+    def test_refuses_an_unknown_kind_or_strategy(self, kind, strategy):
+        with pytest.raises(ValueError, match="is not a valid"):
+            assemble(generate_unit_square_mesh(2), kind, strategy)
 
     def test_symmetry(self):
         mesh = generate_disk_mesh(4)

@@ -230,6 +230,22 @@ class TestRunBench:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("sizes", [[0, 4], [-2]])
+    def test_refuses_a_non_positive_size_before_opening_the_output(self, tmp_path, sizes):
+        out = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match=f"sizes must be positive, got {sizes[0]}"):
+            run_bench([MatrixKind.MASS], [Strategy.OPTV2], sizes, 3, out)
+        assert not out.exists()
+
+    def test_takes_kinds_and_strategies_by_value(self, tmp_path):
+        records = run_bench(["stiff"], ["classical", Strategy.OPTV2], [3], 3, None)
+        assert [(r.kind, r.strategy) for r in records] == [("stiff", "classical"), ("stiff", "optv2")]
+        out = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match="'bogus' is not a valid Strategy"):
+            run_bench([MatrixKind.MASS], ["bogus"], [3], 3, out)
+        assert not out.exists()
+
+
 class TestRunBenchSizes:
     """Sizes and repetitions convert through ``operator.index`` before any
     other check, and before ``--out`` is opened."""

@@ -65,6 +65,24 @@ def test_rejects_unknown_kind(tmp_path):
               "--out", str(tmp_path / "x.csv")])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["assemble", "--mesh", "m.txt", "--kind", "mass", "--strategy", "bogus"],
+         "argument --strategy: unknown strategy 'bogus'; choose from classical, optv0, optv1, optv2"),
+        (["bench", "--kinds", "mass,nope", "--square-sizes", "4"],
+         "argument --kinds: unknown kind 'nope'; choose from elastic, mass, massw, stiff"),
+    ],
+)
+def test_refuses_an_unknown_name_and_lists_the_choices(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def cli_error(capsys, *argv) -> str:
     """stderr of a run that must stop on its input with exit status 2 and
     one error line, no traceback."""
@@ -110,6 +128,22 @@ def test_assemble_reports_bad_paths_and_params(tmp_path, capsys):
     assert "mu must be positive" in err
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--kind", "mass", "--mu", "0"], "mu must be positive"),
+        (["--kind", "stiff", "--lam", "nan"], "lam must be finite, got nan"),
+        (["--kind", "elastic", "--weight", "bogus"], "unknown weight field 'bogus'"),
+    ],
+)
+def test_assemble_checks_every_coefficient_for_every_kind(tmp_path, capsys, options, message):
+    mesh_path = tmp_path / "mesh.txt"
+    write_mesh(generate_unit_square_mesh(2), mesh_path)
+    out = tmp_path / "m.mtx"
+    assert message in assemble_error(capsys, mesh_path, out, *options)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, value", [("--lam", "inf"), ("--lam", "nan"), ("--mu", "inf")])
 def test_assemble_refuses_non_finite_lame_coefficients(tmp_path, capsys, option, value):
     mesh_path = tmp_path / "mesh.txt"
@@ -149,6 +183,7 @@ def test_slopes_reports_a_cell_that_does_not_parse(tmp_path, capsys):
         (["--reps", "2"], "repetitions must be >= 3, got 2"),
         (["--square-sizes", "8,4"], "sizes must be strictly ascending"),
         (["--budget", "-1"], "time budget must be finite and > 0 seconds, got -1.0"),
+        (["--square-sizes", "0,4"], "sizes must be positive, got 0"),
     ],
 )
 def test_bench_reports_bad_arguments(tmp_path, capsys, options, message):
