@@ -443,21 +443,37 @@ def write_lines(f, line: str, n_lines: int, fields) -> None:
         f.write(line * (stop - start) % tuple(rows.ravel()))
 
 
+def _equals_its_transpose(matrix: CscMatrix, cols: np.ndarray) -> bool:
+    """True when ``matrix`` equals its transpose bit for bit (0.0 is not
+    -0.0).  As rows are sorted within each column, a stable argsort of the
+    rows lists the entries row by row, which is Davis's ``cs_transpose``."""
+    rows, bits = matrix.row_idx, matrix.values.view(np.int64)
+    if not np.array_equal(np.bincount(rows, minlength=matrix.n_rows).cumsum(), matrix.col_ptr[1:]):
+        return False  # not square, or some row holds other than its column's count
+    order = np.argsort(rows, kind="stable")
+    return np.array_equal(cols[order], rows) and np.array_equal(bits[order], bits)
+
+
 def write_matrix_market(matrix: CscMatrix, path) -> None:
     """Write the coordinate MatrixMarket format: 1-based indices, values
-    as ``%.17g``, entries in column-major storage order."""
+    as ``%.17g``, entries in column-major storage order.  A matrix equal to
+    its transpose bit for bit is written ``symmetric``, its entries with
+    row >= column alone; any other is written ``general``, every entry."""
+    rows, vals, kind = matrix.row_idx, matrix.values, "general"
+    cols = np.repeat(np.arange(matrix.n_cols, dtype=rows.dtype), np.diff(matrix.col_ptr))
+    if _equals_its_transpose(matrix, cols):  # its temporaries are freed on return
+        lower = rows >= cols
+        kind, rows, cols, vals = "symmetric", rows[lower], cols[lower], vals[lower]
+        del lower
     # 1-based index strings, each made once for all the entries in its row or column
     labels = np.array(
         [str(i) for i in range(1, max(matrix.n_rows, matrix.n_cols) + 1)], dtype=object
     )
 
     def fields(start, stop):
-        # needles of the haystack's dtype, or numpy casts all of col_ptr per block
-        needles = np.arange(start, stop, dtype=matrix.col_ptr.dtype)
-        cols = np.searchsorted(matrix.col_ptr, needles, side="right") - 1
-        return labels[matrix.row_idx[start:stop]], labels[cols], matrix.values[start:stop]
+        return labels[rows[start:stop]], labels[cols[start:stop]], vals[start:stop]
 
     with open(path, "w", encoding="ascii") as f:
-        f.write("%%MatrixMarket matrix coordinate real general\n")
-        f.write(f"{matrix.n_rows} {matrix.n_cols} {matrix.nnz}\n")
-        write_lines(f, "%s %s %.17g\n", matrix.nnz, fields)
+        f.write(f"%%MatrixMarket matrix coordinate real {kind}\n")
+        f.write(f"{matrix.n_rows} {matrix.n_cols} {rows.size}\n")
+        write_lines(f, "%s %s %.17g\n", rows.size, fields)

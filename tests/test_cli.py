@@ -17,6 +17,11 @@ def test_assemble_writes_matrixmarket(tmp_path, capsys):
          "--out", str(out)]
     )
     assert rc == 0
+    # 82 stored entries, 16 of them on the diagonal: (82 + 16) / 2 on or below it
+    assert out.read_text().splitlines()[:2] == [
+        "%%MatrixMarket matrix coordinate real symmetric",
+        "16 16 49",
+    ]
     m = scipy_io.mmread(out)
     assert m.shape == (16, 16)
     assert m.sum() == pytest.approx(1.0, abs=1e-12)

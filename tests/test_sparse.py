@@ -1,5 +1,6 @@
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,8 +12,13 @@ from hypothesis import strategies as st
 from femasm import (
     CscBuilder,
     CscMatrix,
+    MatrixKind,
     Pattern,
+    Strategy,
+    assemble,
     csc_from_triplets,
+    generate_disk_mesh,
+    generate_unit_square_mesh,
     max_abs_diff,
     write_matrix_market,
 )
@@ -21,6 +27,7 @@ from femasm.sparse import BLOCK_BYTES, TEXT_BLOCK, index_dtype
 
 import oracles
 from oracles import dense_from_triplets
+from test_assembly import kind_kwargs
 
 # worked 3x4 example: duplicate-free triplets of a small CSC matrix
 EX_I = [0, 1, 2, 2, 0, 1]
@@ -816,13 +823,30 @@ class TestZeroDrop:
 
 
 def reference_matrix_market_bytes(matrix: CscMatrix) -> bytes:
-    """The file write_matrix_market produces, written out one entry at a time."""
-    out = ["%%MatrixMarket matrix coordinate real general\n",
-           f"{matrix.n_rows} {matrix.n_cols} {matrix.nnz}\n"]
-    cols = np.repeat(np.arange(matrix.n_cols), np.diff(matrix.col_ptr))
-    for i, j, v in zip(matrix.row_idx, cols, matrix.values):
-        out.append(f"{i + 1} {j + 1} {'%.17g' % v}\n")
-    return "".join(out).encode("ascii")
+    """The file write_matrix_market produces, written out one entry at a time:
+    ``symmetric`` and the entries with i >= j when the matrix is square and
+    every stored (i, j) has a stored (j, i) of the same bits, else
+    ``general`` and every entry."""
+    cols = np.repeat(np.arange(matrix.n_cols), np.diff(matrix.col_ptr)).tolist()
+    rows, vals = matrix.row_idx.tolist(), matrix.values.tolist()
+    bits = dict(zip(zip(rows, cols), matrix.values.view(np.int64).tolist()))
+    symmetric = matrix.n_rows == matrix.n_cols and all(
+        bits.get((j, i)) == b for (i, j), b in bits.items()
+    )
+    lines = [f"{i + 1} {j + 1} {'%.17g' % v}\n"
+             for i, j, v in zip(rows, cols, vals) if i >= j or not symmetric]
+    kind = "symmetric" if symmetric else "general"
+    out = [f"%%MatrixMarket matrix coordinate real {kind}\n",
+           f"{matrix.n_rows} {matrix.n_cols} {len(lines)}\n"]
+    return "".join(out + lines).encode("ascii")
+
+
+def square_matrix(entries: dict, n: int) -> CscMatrix:
+    """The n x n matrix of {(i, j): value}, every value stored, zeros too."""
+    b = CscBuilder(n, n)
+    for (i, j), v in entries.items():
+        b.add(i, j, v)
+    return b.to_matrix()
 
 
 class TestMatrixMarket:
@@ -881,3 +905,104 @@ class TestMatrixMarket:
         first, second = path.read_text().splitlines()[:2]
         assert first == "%%MatrixMarket matrix coordinate real general"
         assert second == "3 4 6"
+
+    def assert_written_as(self, matrix, kind, tmp_path):
+        self.assert_reference_bytes(matrix, tmp_path)
+        first = (tmp_path / "a.mtx").read_text().splitlines()[0]
+        assert first == f"%%MatrixMarket matrix coordinate real {kind}"
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {(0, 0): 1.0, (1, 0): 2.0, (0, 1): 2.0000000000000004, (1, 1): 3.0},
+            {(0, 0): 1.0, (2, 0): 2.0, (0, 2): 2.0, (2, 1): 4.0},
+            {(1, 0): 0.5, (0, 1): -0.5, (2, 2): 1.0},
+            {(1, 0): 0.0, (0, 1): -0.0, (2, 2): 1.0},
+        ],
+        ids=["mirror-one-ulp-off", "mirror-not-stored", "mirror-negated", "mirror-signed-zero"],
+    )
+    def test_square_matrix_not_equal_to_its_transpose_is_general(self, entries, tmp_path):
+        self.assert_written_as(square_matrix(entries, 3), "general", tmp_path)
+
+    @pytest.mark.parametrize(
+        "entries, n, lines",
+        [
+            ({(0, 0): -1 / 3}, 1, ["1 1 1", "1 1 -0.33333333333333331"]),
+            (
+                {(0, 0): 2.0, (2, 2): -0.0, (3, 3): 5e-324},
+                4,
+                ["4 4 3", "1 1 2", "3 3 -0", "4 4 4.9406564584124654e-324"],
+            ),
+            (
+                {(1, 0): -0.0, (0, 1): -0.0, (2, 1): 0.25, (1, 2): 0.25},
+                3,
+                ["3 3 2", "2 1 -0", "3 2 0.25"],
+            ),
+            ({}, 2, ["2 2 0"]),
+        ],
+        ids=["one-by-one", "diagonal-only", "mirrored-off-diagonal", "no-entries"],
+    )
+    def test_matrix_equal_to_its_transpose_is_symmetric(self, entries, n, lines, tmp_path):
+        self.assert_written_as(square_matrix(entries, n), "symmetric", tmp_path)
+        assert (tmp_path / "a.mtx").read_text().splitlines()[1:] == lines
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bytes_match_the_reference(self, data, tmp_path_factory):
+        n = data.draw(st.integers(1, 5))
+        value = st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.0, 2.0000000000000004, 1e-310])
+        position = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        entries = data.draw(st.dictionaries(position, value, max_size=n * n))
+        if data.draw(st.booleans()):  # mirror the lower triangle
+            entries = {(i, j): v for (i, j), v in entries.items() if i >= j}
+            entries.update({(j, i): v for (i, j), v in entries.items()})
+        self.assert_reference_bytes(square_matrix(entries, n), tmp_path_factory.mktemp("mm"))
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("kind", list(MatrixKind))
+    @pytest.mark.parametrize(
+        "mesh",
+        [generate_unit_square_mesh(6), generate_disk_mesh(5)],
+        ids=["square-6", "disk-5"],
+    )
+    def test_every_assembled_matrix_round_trips_through_scipy(self, mesh, kind, strategy, tmp_path):
+        scipy_io = pytest.importorskip("scipy.io")
+        a = assemble(mesh, kind, strategy, **kind_kwargs(kind))
+        self.assert_written_as(a, "symmetric", tmp_path)
+        back = scipy.sparse.csc_array(scipy_io.mmread(tmp_path / "a.mtx"))
+        back.sort_indices()
+        assert np.array_equal(back.indptr, a.col_ptr)
+        assert np.array_equal(back.indices, a.row_idx)
+        assert back.data.tobytes() == a.values.tobytes()  # explicit zeros and their signs too
+
+
+class TestWriterMemory:
+    """README's model of write_matrix_market's bytes beside the matrix, on
+    the n=56 disk's elastic matrix: the transpose check holds w + 17 B per
+    stored entry for index width w, and 16 B per column; the writing holds
+    16 B per written entry, a label per row and one block of lines."""
+
+    # Measured with numpy 2.4 (tracemalloc): 62 B per 5-digit label, and
+    # 136 B per line of a block, for its Python objects, the formatted
+    # string and its encoded copy.  Headroom of about 5% over each.
+    LABEL = 64
+    LINE = 144
+
+    @pytest.mark.parametrize("block", [TEXT_BLOCK, 1024], ids=["writing-peaks", "check-peaks"])
+    def test_peak_within_the_model(self, block, tmp_path, monkeypatch):
+        monkeypatch.setattr(femasm.sparse, "TEXT_BLOCK", block)
+        a = assemble(generate_disk_mesh(56), MatrixKind.ELASTIC, Strategy.OPTV2,
+                     **kind_kwargs(MatrixKind.ELASTIC))
+        assert a.row_idx.dtype == np.int32
+        tracemalloc.start()
+        try:
+            write_matrix_market(a, tmp_path / "a.mtx")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = (a.nnz + a.n_rows) // 2  # every diagonal entry is stored
+        size_line = (tmp_path / "a.mtx").read_text().splitlines()[1]
+        assert size_line == f"{a.n_rows} {a.n_cols} {written}"
+        check = (4 + 17) * a.nnz + 16 * a.n_cols
+        writing = 16 * written + self.LABEL * a.n_rows + self.LINE * min(written, block)
+        assert peak <= max(check, writing)
