@@ -449,7 +449,7 @@ def _equals_its_transpose(matrix: CscMatrix, cols: np.ndarray) -> bool:
     rows lists the entries row by row, which is Davis's ``cs_transpose``."""
     rows, bits = matrix.row_idx, matrix.values.view(np.int64)
     if not np.array_equal(np.bincount(rows, minlength=matrix.n_rows).cumsum(), matrix.col_ptr[1:]):
-        return False  # not square, or some row holds other than its column's count
+        return False  # not square, or row k holds more or fewer entries than column k
     order = np.argsort(rows, kind="stable")
     return np.array_equal(cols[order], rows) and np.array_equal(bits[order], bits)
 
