@@ -138,11 +138,11 @@ class WeightField:
 
     @staticmethod
     def by_name(name: str) -> "WeightField":
-        try:
-            return {"one": WeightField.one, "linear": WeightField.linear,
-                    "quadratic": WeightField.quadratic}[name]()
-        except KeyError:
-            raise ValueError(f"unknown weight field {name!r}") from None
+        named = {"linear": WeightField.linear, "one": WeightField.one,
+                 "quadratic": WeightField.quadratic}
+        if name not in named:
+            raise ValueError(f"unknown weight field {name!r}; choose from {', '.join(named)}")
+        return named[name]()
 
     def sample(self, mesh: Mesh) -> np.ndarray:
         """Values at every vertex, shape (nq,)."""

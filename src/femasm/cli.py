@@ -38,6 +38,13 @@ def _members(enum, what: str, many: bool = False):
     return (lambda text: [member(name) for name in text.split(",")]) if many else member
 
 
+def _weight(name: str) -> WeightField:
+    try:
+        return WeightField.by_name(name.strip().lower())
+    except ValueError as exc:  # by_name names the choices
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_sizes(text: str) -> list[int]:
     try:
         return [int(s) for s in text.split(",")]
@@ -73,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--kind", type=_members(MatrixKind, "kind"), required=True)
     a.add_argument("--strategy", type=_members(Strategy, "strategy"), default=Strategy.OPTV2)
     a.add_argument("--out", required=True)
-    a.add_argument("--weight", default="quadratic", help="one | linear | quadratic")
+    a.add_argument("--weight", type=_weight, default="quadratic")
     a.add_argument("--lam", type=float, default=1.0)
     a.add_argument("--mu", type=float, default=1.0)
     a.set_defaults(run=_cmd_assemble)
@@ -99,9 +106,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    weight, params = WeightField.by_name(args.weight), ElasticParams(args.lam, args.mu)
+    params = ElasticParams(args.lam, args.mu)
     # no name holds the mesh, so it and its cached pattern are freed before the write
-    matrix = assemble(read_mesh(args.mesh), args.kind, args.strategy, weight=weight, params=params)
+    matrix = assemble(
+        read_mesh(args.mesh), args.kind, args.strategy, weight=args.weight, params=params
+    )
     write_matrix_market(matrix, args.out)
     print(f"wrote {args.out}: {matrix.shape[0]}x{matrix.shape[1]}, nnz={matrix.nnz}")
     return 0

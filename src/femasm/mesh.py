@@ -202,42 +202,29 @@ def generate_disk_mesh(n: int) -> Mesh:
     """Polar triangulation of the unit disk with n concentric rings.
 
     Ring r (1 <= r <= n) sits at radius r/n and carries 6r equally spaced
-    vertices; consecutive rings are stitched by walking both rings in
-    angular order.  nq = 1 + 3 n (n+1), nme = 6 n^2, and the total area
-    tends to pi as n grows.
+    vertices, from vertex 1 + 3r(r-1) on.  Rings r-1 and r are stitched in
+    angular order by one stable argsort of the turns at which their steps
+    end, (j+1)/6r on the outer ring before (i+1)/6(r-1) on the inner, so
+    that a tie goes to the outer step and every triangle is counterclockwise.
+    nq = 1 + 3 n (n+1), nme = 6 n^2, and the area tends to pi as n grows.
     """
     n = index(n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    points = [(0.0, 0.0)]
-    start = [0] * (n + 1)
+    points, tris, inner = [np.zeros((1, 2))], [], np.array([0])  # inner ring: the centre
     for r in range(1, n + 1):
-        start[r] = len(points)
-        m = 6 * r
-        ang = 2.0 * np.pi * np.arange(m) / m
-        rad = r / n
-        points.extend(zip(rad * np.cos(ang), rad * np.sin(ang)))
-    vertices = np.array(points, dtype=np.float64)
-
-    tris = []
-    for j in range(6):
-        tris.append((0, start[1] + j, start[1] + (j + 1) % 6))
-    for r in range(2, n + 1):
         ni, no = 6 * (r - 1), 6 * r
-        si, so = start[r - 1], start[r]
-        i = j = 0
-        # walk both rings in angular order, always advancing the ring whose
-        # next vertex comes first; keeps every triangle counterclockwise
-        while i < ni or j < no:
-            outer_next = (j + 1) / no
-            inner_next = (i + 1) / ni
-            if j < no and (i == ni or outer_next <= inner_next):
-                tris.append((si + i % ni, so + j, so + (j + 1) % no))
-                j += 1
-            else:
-                tris.append((si + i % ni, so + j % no, si + (i + 1) % ni))
-                i += 1
-    return Mesh(vertices, tris)
+        ang = 2.0 * np.pi * np.arange(no) / no
+        points.append(np.column_stack([r / n * np.cos(ang), r / n * np.sin(ang)]))
+        outer = 1 + 3 * r * (r - 1) + np.arange(no)
+        keys = np.concatenate([np.arange(1, no + 1) / no, np.arange(1, ni + 1) / ni])
+        step_out = np.argsort(keys, kind="stable") < no
+        j = np.cumsum(step_out) - step_out  # outer steps before each step
+        i = np.arange(no + ni) - j
+        third = np.where(step_out, outer[(j + 1) % no], inner[(i + 1) % inner.size])
+        tris.append(np.column_stack([inner[i % inner.size], outer[j % no], third]))
+        inner = outer
+    return Mesh(np.concatenate(points), np.concatenate(tris))
 
 
 def write_mesh(mesh: Mesh, path) -> None:

@@ -77,6 +77,9 @@ def test_rejects_unknown_kind(tmp_path):
          "argument --strategy: unknown strategy 'bogus'; choose from classical, optv0, optv1, optv2"),
         (["bench", "--kinds", "mass,nope", "--square-sizes", "4"],
          "argument --kinds: unknown kind 'nope'; choose from elastic, mass, massw, stiff"),
+        # a kind that reads no weight still checks it
+        (["assemble", "--mesh", "m.txt", "--kind", "elastic", "--weight", "bogus"],
+         "argument --weight: unknown weight field 'bogus'; choose from linear, one, quadratic"),
     ],
 )
 def test_refuses_an_unknown_name_and_lists_the_choices(tmp_path, capsys, argv, message):
@@ -116,10 +119,30 @@ def test_assemble_reports_a_bad_mesh_line(tmp_path, capsys):
 def test_assemble_reports_a_bad_weight(tmp_path, capsys):
     mesh_path = tmp_path / "mesh.txt"
     write_mesh(generate_unit_square_mesh(2), mesh_path)
-    err = assemble_error(
-        capsys, mesh_path, tmp_path / "w.mtx", "--kind", "massw", "--weight", "bogus"
+    out = tmp_path / "w.mtx"
+    with pytest.raises(SystemExit) as exc:
+        main(["assemble", "--mesh", str(mesh_path), "--out", str(out), "--kind", "massw",
+              "--weight", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        "femasm assemble: error: argument --weight: unknown weight field 'bogus'; "
+        "choose from linear, one, quadratic"
     )
-    assert "unknown weight field 'bogus'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["Quadratic", " QUADRATIC "])
+def test_assemble_reads_a_weight_name_as_a_kind_name(tmp_path, name):
+    mesh_path = tmp_path / "mesh.txt"
+    write_mesh(generate_unit_square_mesh(3), mesh_path)
+    written = {}
+    for weight in ("quadratic", name):
+        out = tmp_path / "w.mtx"
+        assert main(["assemble", "--mesh", str(mesh_path), "--out", str(out), "--kind", "massw",
+                     "--weight", weight]) == 0
+        written[weight] = out.read_bytes()
+    assert written[name] == written["quadratic"]
 
 
 def test_assemble_reports_bad_paths_and_params(tmp_path, capsys):
@@ -138,7 +161,6 @@ def test_assemble_reports_bad_paths_and_params(tmp_path, capsys):
     [
         (["--kind", "mass", "--mu", "0"], "mu must be positive"),
         (["--kind", "stiff", "--lam", "nan"], "lam must be finite, got nan"),
-        (["--kind", "elastic", "--weight", "bogus"], "unknown weight field 'bogus'"),
     ],
 )
 def test_assemble_checks_every_coefficient_for_every_kind(tmp_path, capsys, options, message):

@@ -1,3 +1,4 @@
+import hashlib
 import tempfile
 import warnings
 from pathlib import Path
@@ -48,9 +49,9 @@ class TestUnitSquare:
 
 class TestDisk:
     def test_counts(self):
-        m = generate_disk_mesh(3)
-        assert m.nq == 1 + 3 * 3 * 4
-        assert m.nme == 6 * 9
+        for n in range(2, 41):
+            m = generate_disk_mesh(n)
+            assert (m.nq, m.nme) == (1 + 3 * n * (n + 1), 6 * n * n), n
 
     def test_coarse_underestimates_disk(self):
         m = generate_disk_mesh(2)
@@ -60,14 +61,24 @@ class TestDisk:
         m = generate_disk_mesh(64)
         assert abs(m.areas.sum() - np.pi) < 0.01
 
-    @pytest.mark.parametrize("n", [2, 5, 13])
+    @pytest.mark.parametrize("n", range(2, 14))
     def test_all_areas_positive(self, n):
+        """Signed areas: every triangle is counterclockwise."""
         m = generate_disk_mesh(n)
-        assert (m.areas > 0).all()
+        (x1, y1), (x2, y2), (x3, y3) = (m.vertices[m.connectivity[:, k]].T for k in range(3))
+        assert ((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) > 0).all()
 
     def test_rejects_small(self):
         with pytest.raises(ValueError):
             generate_disk_mesh(1)
+
+    def test_the_file_roundtrip_disk_is_pinned(self):
+        """The n=56 disk that the file-roundtrip benchmark writes and reads,
+        pinned bit for bit: vertices, then 0-based int64 connectivity."""
+        m = generate_disk_mesh(56)
+        assert (m.nq, m.nme) == (9577, 18816)
+        digest = hashlib.sha256(m.vertices.tobytes() + m.connectivity.tobytes()).hexdigest()
+        assert digest == "9f957cd53755799c7fab19ddd0818468c9c991d2779d0003e30f29499511d3db"
 
 
 class TestComputeAreas:

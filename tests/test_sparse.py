@@ -338,6 +338,25 @@ class TestSizes:
         made = build(np.int64(2))
         assert type(made.n_rows) is int and type(made.n_cols) is int
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n_rows, n_cols: csc_from_triplets([5, 7], [3, 0], [1.0, 2.0], n_rows, n_cols),
+            lambda n_rows, n_cols: Pattern.from_triplets([5, 7], [3, 0], n_rows, n_cols),
+        ],
+        ids=["csc_from_triplets", "Pattern.from_triplets"],
+    )
+    def test_refuses_a_shape_whose_sort_code_overflows(self, build):
+        # the sort code col * n_rows + row is an int64; a wrapped code would
+        # store a col_ptr that does not ascend
+        for n_rows, n_cols in [(2**62, 4), (2**61, 4), (8, 2**60)]:
+            with pytest.raises(ValueError) as exc:
+                build(n_rows, n_cols)
+            assert str(exc.value) == f"shape ({n_rows}, {n_cols}) has 2**63 or more positions"
+        made = build(2**61 - 1, 4)  # 2**63 - 4 positions
+        assert made.col_ptr.tolist() == [0, 1, 1, 1, 2]
+        assert made.row_idx.tolist() == [7, 5]
+
 
 class TestIncremental:
     def test_worked_example_insertion(self):
